@@ -12,6 +12,7 @@ import (
 	"repro/internal/mvmbt"
 	"repro/internal/postree"
 	"repro/internal/store"
+	"repro/internal/version"
 	"repro/internal/workload"
 )
 
@@ -38,6 +39,22 @@ type servedCandidate struct {
 	name   string
 	new    func() (core.Index, error)
 	loader forkbase.Loader
+}
+
+// serveSeeded commits idx as the head of a branch in a repo over idx's
+// store, registering l as the checkout loader for idx's class, and returns
+// a servlet serving that branch: the repo-backed write path every system
+// experiment measures.
+func serveSeeded(idx core.Index, l forkbase.Loader) (*forkbase.Servlet, error) {
+	const branch = "served"
+	repo := version.NewRepo(idx.Store())
+	repo.RegisterLoader(idx.Name(), func(s store.Store, root hash.Hash, height int) (core.Index, error) {
+		return l(s, root, height), nil
+	})
+	if _, err := repo.Commit(branch, idx, "seed"); err != nil {
+		return nil, err
+	}
+	return forkbase.NewServletRepo(repo, branch)
 }
 
 func servedCandidates(sc Scale) []servedCandidate {
@@ -153,7 +170,10 @@ func fig21Cell(sc Scale, cand servedCandidate, n int) (readTput, writeTput float
 	if err != nil {
 		return 0, 0, err
 	}
-	srv := forkbase.NewServlet(idx)
+	srv, err := serveSeeded(idx, cand.loader)
+	if err != nil {
+		return 0, 0, err
+	}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		return 0, 0, err

@@ -92,7 +92,10 @@ func fig22Cell(sc Scale, sys servedCandidate, n int) (readTput, writeTput float6
 	if err != nil {
 		return 0, 0, err
 	}
-	srv := forkbase.NewServlet(idx)
+	srv, err := serveSeeded(idx, sys.loader)
+	if err != nil {
+		return 0, 0, err
+	}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		return 0, 0, err

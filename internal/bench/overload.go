@@ -204,8 +204,11 @@ func overloadCell(idx core.Index, loader forkbase.Loader, y *workload.YCSB,
 	records, workers int, window time.Duration,
 	so forkbase.ServerOptions, budget time.Duration) (overloadArm, error) {
 
-	srv := forkbase.NewServlet(idx).WithOptions(so)
-	addr, err := srv.Start("127.0.0.1:0")
+	srv, err := serveSeeded(idx, loader)
+	if err != nil {
+		return overloadArm{}, err
+	}
+	addr, err := srv.WithOptions(so).Start("127.0.0.1:0")
 	if err != nil {
 		return overloadArm{}, err
 	}

@@ -3,7 +3,6 @@ package forkbase
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/hash"
 	"repro/internal/query"
 	"repro/internal/store"
+	"repro/internal/version"
 )
 
 // ErrBusy reports that the server shed the request under overload (or a
@@ -194,7 +194,7 @@ func (c *Client) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
-			c.sleepBackoff(attempt)
+			version.SleepBackoff(attempt, c.opts.RetryBase, retryCap)
 		}
 		if c.conn == nil {
 			conn, err := net.Dial("tcp", c.addr)
@@ -260,17 +260,6 @@ func (c *Client) dropConnLocked() {
 		c.conn.Close()
 		c.conn = nil
 	}
-}
-
-// sleepBackoff sleeps the capped exponential backoff for one retry attempt,
-// with jitter.
-func (c *Client) sleepBackoff(attempt int) {
-	d := c.opts.RetryBase << (attempt - 1)
-	if d > retryCap || d <= 0 {
-		d = retryCap
-	}
-	d += time.Duration(rand.Int63n(int64(d)/2 + 1))
-	time.Sleep(d)
 }
 
 // fetchNode retrieves one node from the servlet. The request payload slices

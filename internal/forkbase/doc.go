@@ -1,9 +1,9 @@
 // Package forkbase implements a miniature version of the client/server
 // storage engine used in the paper's system experiments (§5.6): a single
-// servlet owning the authoritative index over a content-addressed store,
+// servlet serving one version.Repo branch over a content-addressed store,
 // and clients that execute reads by fetching nodes over the network
 // (caching them locally, as Forkbase does) while writes are shipped to the
-// servlet and applied there.
+// servlet and committed there.
 //
 // # Wire protocol
 //
@@ -13,7 +13,8 @@
 // Noms (Prolly Tree) comparison of §5.6.2 is run on identical plumbing.
 // Errors come in four flavors: msgErr is permanent and fails the request;
 // msgErrRetry marks a transient server-side condition (a commit raced a GC
-// pass past the server's own retry budget) the client resends after;
+// pass or another writer past the server's own retry budget) the client
+// resends after;
 // msgErrBusy means the server shed the request under overload (or refused
 // a write on a space-degraded store) without doing any work; msgErrDeadline
 // means the server aborted the request because its propagated budget ran
@@ -31,7 +32,8 @@
 // (execution — a request with no free slot is shed with msgErrBusy, the
 // connection kept), IdleTimeout (conns that dial and stall are reaped) and
 // MaxFrameBytes (an oversized frame is rejected before its payload is
-// read). Shedding is deliberate: under sustained overload a queue only
+// read; the error frame is followed by a half-close and a bounded drain,
+// so the peer reads the error rather than a reset). Shedding is deliberate: under sustained overload a queue only
 // converts shed-able load into latency until every admitted request times
 // out — the congestion collapse the bench package's "overload" experiment
 // measures, comparing goodput and p99 with the limits on versus off.
@@ -58,15 +60,32 @@
 // success closes it (Options.BreakerThreshold/BreakerCooldown). Resending
 // a write batch is safe: applying the same
 // entries to the already-advanced head yields the identical version, so
-// the retry is idempotent by content addressing. A servlet built with
-// NewServletRepo commits every accepted batch to a version.Repo branch
-// through version.CommitRetry, making each network write a durable,
-// GC-race-proof commit; Close drains in-flight requests before returning.
+// the retry is idempotent by content addressing. Close drains in-flight
+// requests before returning.
+//
+// # One head, one write path
+//
+// The repo branch is the servlet's only head. NewServletRepo serves a
+// plain branch; NewServletTable serves a secondary.Table's branch and
+// maintains its secondaries. Either way every accepted batch goes through
+// the table (with no secondaries for a plain branch, where the commit is
+// byte-identical to a plain Repo.Commit) and becomes one commit, made by
+// version.CommitRetryHead: each attempt derives the successor only from
+// the head commit it checked out (re-deriving the secondaries from that
+// commit's RootRefs) and commits with that head as the expected parent.
+// If another writer moved the branch meanwhile the commit fails with
+// version.ErrHeadMoved; if a GC pass swept the attempt's fresh nodes it
+// fails with version.ErrCommitRaced. Both are redone server-side from a
+// fresh checkout, so an acked write is never lost and never built on
+// swept pages. Writes serialize on a writer lock that node fetches and
+// queries never take. The servlet caches the committed state for queries,
+// so decoded nodes stay warm between commits, and uses it only while its
+// commit is still the branch head.
 //
 // # Roles in the larger system
 //
-// The servlet is the write authority: it applies batches with the staged
-// commit path and advances its head root, which clients poll with root
+// The servlet is the write authority: it commits batches with the staged
+// commit path and advances the branch head, which clients poll with root
 // queries and Load into read-only views via a Loader (the same
 // class-keyed reconstruction closure internal/version uses for checkout —
 // the two Loader types mirror each other deliberately). Client-side

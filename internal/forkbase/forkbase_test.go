@@ -10,6 +10,7 @@ import (
 	"repro/internal/mpt"
 	"repro/internal/postree"
 	"repro/internal/store"
+	"repro/internal/version"
 )
 
 func posLoader(cfg postree.Config) Loader {
@@ -18,9 +19,37 @@ func posLoader(cfg postree.Config) Loader {
 	}
 }
 
+// seededServlet commits idx as the head of branch "main" in a fresh repo
+// over idx's store and returns a servlet serving that branch.
+func seededServlet(tb testing.TB, idx core.Index) *Servlet {
+	tb.Helper()
+	repo := version.NewRepo(idx.Store())
+	switch ix := idx.(type) {
+	case *postree.Tree:
+		cfg := ix.Config()
+		repo.RegisterLoader(ix.Name(), func(s store.Store, root hash.Hash, height int) (core.Index, error) {
+			return postree.Load(s, cfg, root, height), nil
+		})
+	case *mpt.Trie:
+		repo.RegisterLoader(ix.Name(), func(s store.Store, root hash.Hash, _ int) (core.Index, error) {
+			return mpt.Load(s, root), nil
+		})
+	default:
+		tb.Fatalf("no loader for index class %s", idx.Name())
+	}
+	if _, err := repo.Commit("main", idx, "seed"); err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := NewServletRepo(repo, "main")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv
+}
+
 func startServlet(t *testing.T, idx core.Index) (*Servlet, string) {
 	t.Helper()
-	srv := NewServlet(idx)
+	srv := seededServlet(t, idx)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

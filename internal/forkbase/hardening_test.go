@@ -228,7 +228,7 @@ func TestServletCloseDrainsIdleConns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServlet(idx)
+	srv := seededServlet(t, idx)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func BenchmarkOverloadGoodput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			srv := NewServlet(idx).WithOptions(ServerOptions{
+			srv := seededServlet(b, idx).WithOptions(ServerOptions{
 				MaxConns:    -1,
 				MaxInflight: c.inflight,
 			})

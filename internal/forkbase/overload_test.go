@@ -18,7 +18,7 @@ import (
 )
 
 // startOwnedTableServlet is startTableServlet, but returns the servlet so
-// tests can reach its internals (e.g. hold s.mu to simulate queueing).
+// tests can reach its internals (e.g. hold s.writeMu to simulate queueing).
 func startOwnedTableServlet(t *testing.T) (*Servlet, string) {
 	t.Helper()
 	s := store.NewMemStore()
@@ -70,7 +70,7 @@ func smallServlet(t *testing.T, n int, opts ServerOptions) (*Servlet, string, po
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServlet(idx).WithOptions(opts)
+	srv := seededServlet(t, idx).WithOptions(opts)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -210,10 +210,10 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 }
 
 func TestServerAbortsCommitOverBudget(t *testing.T) {
-	// The table-commit path re-checks the budget after acquiring s.mu, so
+	// The commit path re-checks the budget after acquiring s.writeMu, so
 	// a request that spent its whole budget queueing behind another writer
-	// aborts without touching the table. Holding s.mu from the test is
-	// that queueing, made deterministic.
+	// aborts without touching the table. Holding s.writeMu from the test
+	// is that queueing, made deterministic.
 	checkNoGoroutineLeaks(t)
 	tblSrv, tblAddr := startOwnedTableServlet(t)
 	c2, err := net.Dial("tcp", tblAddr)
@@ -229,17 +229,17 @@ func TestServerAbortsCommitOverBudget(t *testing.T) {
 		t.Fatalf("warmup = %d, %v", typ, err)
 	}
 
-	tblSrv.mu.Lock()
+	tblSrv.writeMu.Lock()
 	batch := encodeEntries([]core.Entry{{Key: []byte("pk-budget"), Value: []byte("c1|v")}})
 	if err := writeMsg(c2, msgBudget, encodeBudget(20*time.Millisecond, msgPutBatch, batch)); err != nil {
-		tblSrv.mu.Unlock()
+		tblSrv.writeMu.Unlock()
 		t.Fatal(err)
 	}
 	// The handler reads the frame, passes dispatch's entry check (budget
-	// alive), and parks on s.mu in commitTableBatch. Let the budget die,
+	// alive), and parks on s.writeMu in commit. Let the budget die,
 	// then release: the post-lock check must fire.
 	time.Sleep(60 * time.Millisecond)
-	tblSrv.mu.Unlock()
+	tblSrv.writeMu.Unlock()
 	typ, payload, err := readMsg(c2)
 	if err != nil {
 		t.Fatal(err)

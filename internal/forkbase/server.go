@@ -17,10 +17,6 @@ import (
 	"repro/internal/version"
 )
 
-// heighter is implemented by tree indexes that need their height shipped to
-// clients for Load.
-type heighter interface{ Height() int }
-
 // ErrBudgetExceeded reports that the server aborted a request because the
 // client's propagated per-call budget ran out mid-work: finishing would
 // have burned CPU for an answer nobody was still waiting for. The wire
@@ -74,14 +70,21 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	return o
 }
 
-// Servlet owns the authoritative index version and serves node fetches and
-// write batches. One Servlet matches the paper's single-servlet setup.
+// Servlet serves one version.Repo branch: node fetches, root queries and
+// planned queries read the branch head, and every write batch becomes a
+// commit on the branch. One Servlet matches the paper's single-servlet
+// setup.
 //
-// A servlet built with NewServlet holds its head in memory only. One built
-// with NewServletRepo commits every write batch to a version.Repo branch
-// through CommitRetry, so writes that race a concurrent GC pass are redone
-// server-side; if the retry budget is exhausted the client gets an explicit
-// msgErrRetry and resends.
+// The repo branch is the only head. The servlet caches the table state of
+// one commit for queries (so decoded-node caches stay warm between
+// commits) and uses it only while that commit is still the branch head;
+// otherwise it checks the head out again. Write batches serialize on a
+// writer lock and commit through version.CommitRetryHead, each attempt
+// derived only from the head it checked out and committed with that head
+// as the expected parent (version.ErrHeadMoved), so a batch is never lost
+// to a concurrent writer. An attempt that raced a GC pass is redone
+// server-side from a fresh checkout; if the retry budget runs out the
+// client gets msgErrRetry and resends.
 type Servlet struct {
 	ln   net.Listener
 	opts ServerOptions
@@ -89,34 +92,33 @@ type Servlet struct {
 	// request that cannot take a slot without blocking is shed.
 	inflight chan struct{}
 
+	repo   *version.Repo
+	branch string
+	tbl    *secondary.Table // the table definition head states derive from
+
+	// writeMu serializes write batches, so node fetches and queries never
+	// wait behind a commit.
+	writeMu sync.Mutex
+
 	mu      sync.Mutex
-	idx     core.Index
+	cur     *servedHead // cached head checkout; nil until first use
 	conns   map[net.Conn]struct{}
 	closing bool // set by the first Close; later Closes only wait
-
-	repo   *version.Repo // nil for a memory-head servlet
-	branch string
-	tbl    *secondary.Table // nil unless built with NewServletTable
 
 	wg     sync.WaitGroup
 	closed chan struct{}
 }
 
-// NewServlet returns a servlet whose initial head is idx, held in memory,
-// with default overload protection (see ServerOptions).
-func NewServlet(idx core.Index) *Servlet {
-	return &Servlet{
-		idx:    idx,
-		opts:   ServerOptions{}.withDefaults(),
-		conns:  make(map[net.Conn]struct{}),
-		closed: make(chan struct{}),
-	}
+// servedHead is the table state one commit records.
+type servedHead struct {
+	c   version.Commit
+	tbl *secondary.Table
 }
 
 // WithOptions replaces the servlet's overload-protection settings. Call it
 // before Start; it returns s for chaining:
 //
-//	srv := forkbase.NewServlet(idx).WithOptions(forkbase.ServerOptions{MaxInflight: 8})
+//	srv := forkbase.NewServletTable(tbl).WithOptions(forkbase.ServerOptions{MaxInflight: 8})
 func (s *Servlet) WithOptions(o ServerOptions) *Servlet {
 	s.opts = o.withDefaults()
 	return s
@@ -126,27 +128,33 @@ func (s *Servlet) WithOptions(o ServerOptions) *Servlet {
 // every accepted write batch becomes a commit on that branch. The branch
 // must already exist (seed it with an initial commit first).
 func NewServletRepo(repo *version.Repo, branch string) (*Servlet, error) {
-	idx, err := repo.CheckoutBranch(branch)
+	// With no branch head there is nothing to serve, at start or later.
+	tbl, err := secondary.Open(repo, branch, func(store.Store) (core.Index, error) {
+		return nil, fmt.Errorf("%w: %q", version.ErrUnknownBranch, branch)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("forkbase: servlet branch: %w", err)
 	}
-	s := NewServlet(idx)
-	s.repo, s.branch = repo, branch
-	return s, nil
+	return NewServletTable(tbl), nil
 }
 
-// NewServletTable returns a servlet serving a secondary.Table: every
-// accepted write batch goes through the table (maintaining its secondary
-// indexes) and co-commits all roots on the table's branch, and msgQuery
-// requests route through the table's planner. The table must not be
-// mutated by anyone else while the servlet runs — the servlet is its
-// single writer. A write batch whose co-commit races a concurrent GC
-// pass surfaces to the client as msgErrRetry; the resend is idempotent,
-// content addressing makes reapplying the same entries converge.
+// NewServletTable returns a servlet serving a secondary.Table's branch:
+// every accepted write batch goes through the table (maintaining its
+// secondary indexes) and co-commits all roots on the branch, and msgQuery
+// requests route through the table's planner. The servlet derives every
+// state it serves or writes from the branch head with tbl.At; tbl itself
+// only supplies the definition and is never mutated. A resend after
+// msgErrRetry is idempotent: content addressing makes reapplying the same
+// entries converge.
 func NewServletTable(tbl *secondary.Table) *Servlet {
-	s := NewServlet(tbl.Primary())
-	s.tbl = tbl
-	return s
+	return &Servlet{
+		opts:   ServerOptions{}.withDefaults(),
+		repo:   tbl.Repo(),
+		branch: tbl.Branch(),
+		tbl:    tbl,
+		conns:  make(map[net.Conn]struct{}),
+		closed: make(chan struct{}),
+	}
 }
 
 // Start listens on addr (use "127.0.0.1:0" for an ephemeral port) and
@@ -196,11 +204,38 @@ func (s *Servlet) Close() error {
 	return err
 }
 
-// Head returns the servlet's current index version.
+// Head returns the primary index of the branch head, or nil when the head
+// cannot be checked out.
 func (s *Servlet) Head() core.Index {
+	h, err := s.head()
+	if err != nil {
+		return nil
+	}
+	return h.tbl.Primary()
+}
+
+// head returns the table state of the branch head: the cached one while
+// its commit is still the head, otherwise a fresh checkout, which becomes
+// the cache unless a commit replaced it meanwhile.
+func (s *Servlet) head() (*servedHead, error) {
+	c, _ := s.repo.Head(s.branch)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.idx
+	cur := s.cur
+	s.mu.Unlock()
+	if cur != nil && cur.c.ID == c.ID {
+		return cur, nil
+	}
+	tbl, err := s.tbl.At(c)
+	if err != nil {
+		return nil, err
+	}
+	h := &servedHead{c: c, tbl: tbl}
+	s.mu.Lock()
+	if s.cur == cur {
+		s.cur = h
+	}
+	s.mu.Unlock()
+	return h, nil
 }
 
 func (s *Servlet) acceptLoop() {
@@ -276,10 +311,10 @@ func (s *Servlet) handleConn(conn net.Conn) {
 				// answer and a stalled peer is not reading anyway.
 				return
 			}
-			if errors.Is(err, version.ErrCommitRaced) {
+			if errors.Is(err, version.ErrCommitRaced) || errors.Is(err, version.ErrHeadMoved) {
 				// Transient by contract: the commit lost to a concurrent GC
-				// pass beyond the server-side retry budget. Tell the client
-				// to resend and keep the connection.
+				// pass or another writer beyond the server-side retry
+				// budget. Tell the client to resend and keep the connection.
 				if writeMsg(conn, msgErrRetry, []byte(err.Error())) != nil {
 					return
 				}
@@ -305,12 +340,34 @@ func (s *Servlet) handleConn(conn net.Conn) {
 			}
 			// Best effort error report, then drop the connection.
 			_ = writeMsg(conn, msgErr, []byte(err.Error()))
+			drainBeforeClose(conn)
 			return
 		}
 		if err := writeMsg(conn, typ, payload); err != nil {
 			return
 		}
 	}
+}
+
+// Bounds on the discard drainBeforeClose does before dropping a connection.
+const (
+	closeDrainBytes   = 1 << 20
+	closeDrainTimeout = time.Second
+)
+
+// drainBeforeClose half-closes conn after its final error frame, then
+// discards what the peer still sends (an oversized frame's unread payload)
+// until EOF or a bound. Closing a socket with unread input makes the
+// kernel answer with RST, which can destroy the error frame before the
+// peer reads it; after the drain the close is a clean FIN. Close's read
+// deadline cuts the drain short.
+func drainBeforeClose(conn net.Conn) {
+	hc, ok := conn.(interface{ CloseWrite() error })
+	if !ok || hc.CloseWrite() != nil {
+		return
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(closeDrainTimeout))
+	_, _ = io.CopyN(io.Discard, conn, closeDrainBytes)
 }
 
 // serveOne reads one request, applies admission (frame cap, idle deadline,
@@ -422,9 +479,7 @@ func (s *Servlet) dispatch(typ byte, payload []byte, deadline time.Time) (byte, 
 		if err != nil {
 			return 0, nil, err
 		}
-		s.mu.Lock()
-		data, ok := s.idx.Store().Get(h)
-		s.mu.Unlock()
+		data, ok := s.repo.Store().Get(h)
 		if !ok {
 			return msgMissing, nil, nil
 		}
@@ -435,65 +490,30 @@ func (s *Servlet) dispatch(typ byte, payload []byte, deadline time.Time) (byte, 
 		if err != nil {
 			return 0, nil, err
 		}
-		if s.tbl != nil {
-			return s.commitTableBatch(entries, deadline)
-		}
-		if s.repo != nil {
-			return s.commitBatch(entries, deadline)
-		}
-		s.mu.Lock()
-		// Memory-head commits serialize on s.mu; waiting behind other write
-		// batches burns the budget, and nothing has been applied yet, so
-		// aborting here is clean. This is the abort path the overload
-		// experiment's shed-off arm exercises under congestion.
-		if budgetExpired(deadline) {
-			s.mu.Unlock()
-			return 0, nil, fmt.Errorf("%w: before applying write batch", ErrBudgetExceeded)
-		}
-		next, err := s.idx.PutBatch(entries)
-		if err == nil {
-			s.idx = next
-		}
-		root, height := s.idx.RootHash(), s.headHeight()
-		s.mu.Unlock()
-		if err != nil {
-			return 0, nil, err
-		}
-		return msgRoot, encodeRoot(root, height), nil
+		return s.commit(entries, deadline)
 
 	case msgGetRoot:
-		s.mu.Lock()
-		root, height := s.idx.RootHash(), s.headHeight()
-		s.mu.Unlock()
-		return msgRoot, encodeRoot(root, height), nil
+		c, _ := s.repo.Head(s.branch)
+		return msgRoot, encodeRoot(c.Root, c.Height), nil
 
 	case msgQuery:
 		q, err := decodeQuery(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		// Snapshot an engine under the lock, execute outside it: the
-		// index versions it binds are immutable, so a concurrent write
-		// batch advances the head without disturbing this query. With a
-		// propagated budget, wrap the source so long scans abort when the
-		// client's remaining time runs out.
-		s.mu.Lock()
-		var eng query.Engine
-		if s.tbl != nil {
-			var src query.Source = query.IndexSource(s.tbl.Primary())
-			if !deadline.IsZero() {
-				src = budgetSource{src: src, deadline: deadline}
-			}
-			eng = query.PlannerFor(src, s.tbl)
-		} else {
-			var src query.Source = query.IndexSource(s.idx)
-			if !deadline.IsZero() {
-				src = budgetSource{src: src, deadline: deadline}
-			}
-			eng = query.NewPlanner(src)
+		// The head state binds immutable index versions, so a concurrent
+		// write batch advances the branch without disturbing this query.
+		// With a propagated budget, wrap the source so long scans abort
+		// when the client's remaining time runs out.
+		h, err := s.head()
+		if err != nil {
+			return 0, nil, err
 		}
-		s.mu.Unlock()
-		rows, plan, err := eng.Query(q)
+		var src query.Source = query.IndexSource(h.tbl.Primary())
+		if !deadline.IsZero() {
+			src = budgetSource{src: src, deadline: deadline}
+		}
+		rows, plan, err := query.PlannerFor(src, h.tbl).Query(q)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -504,71 +524,42 @@ func (s *Servlet) dispatch(typ byte, payload []byte, deadline time.Time) (byte, 
 	}
 }
 
-// commitBatch applies one write batch as a commit on the servlet's branch.
-// CommitRetry absorbs ErrCommitRaced with backoff; if it still exhausts the
-// budget the raced error propagates and handleConn maps it to msgErrRetry.
-// The repo serializes commits itself, so s.mu is held only to publish the
-// new head for node serving.
-func (s *Servlet) commitBatch(entries []core.Entry, deadline time.Time) (byte, []byte, error) {
-	var next core.Index
-	_, err := version.CommitRetry(s.repo, s.branch,
+// commit applies one write batch as a commit on the servlet's branch,
+// through the table so every secondary stays consistent. Each attempt of
+// the CommitRetryHead loop derives the successor from a fresh checkout of
+// the head it observed, never from the cache: a retry after a GC race
+// must not build on decoded nodes of swept pages, and a fresh checkout
+// per commit keeps the decoded-node caches from growing across commits.
+// The committed state becomes the cache. If the loop gives up, the raced
+// or moved error propagates and handleConn maps it to msgErrRetry.
+func (s *Servlet) commit(entries []core.Entry, deadline time.Time) (byte, []byte, error) {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	var next *secondary.Table
+	c, err := version.CommitRetryHead(s.repo, s.branch,
 		fmt.Sprintf("forkbase: put %d entries", len(entries)),
-		func(idx core.Index) (core.Index, error) {
-			if idx == nil {
-				return nil, fmt.Errorf("forkbase: branch %q disappeared", s.branch)
-			}
-			// Check inside the mutate: CommitRetry may re-run it after a
-			// raced commit plus backoff, by which time the budget may be
-			// gone. Aborting here leaves no partial state — the commit that
-			// would publish the work never happens.
+		func(head version.Commit) (core.Index, []byte, error) {
+			// The first attempt runs right after the wait for writeMu, a
+			// retry after a backoff; either may have burned the budget.
+			// Nothing is applied yet, so aborting here is clean.
 			if budgetExpired(deadline) {
-				return nil, fmt.Errorf("%w: before applying write batch", ErrBudgetExceeded)
+				return nil, nil, fmt.Errorf("%w: before applying write batch", ErrBudgetExceeded)
 			}
-			n, err := idx.PutBatch(entries)
+			tbl, err := s.tbl.At(head)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			next = n
-			return n, nil
+			if err := tbl.PutBatch(entries); err != nil {
+				return nil, nil, err
+			}
+			next = tbl
+			return tbl.Primary(), version.EncodeRootRefs(tbl.RootRefs()), nil
 		})
 	if err != nil {
 		return 0, nil, err
 	}
 	s.mu.Lock()
-	s.idx = next
-	root, height := s.idx.RootHash(), s.headHeight()
+	s.cur = &servedHead{c: c, tbl: next}
 	s.mu.Unlock()
-	return msgRoot, encodeRoot(root, height), nil
-}
-
-// commitTableBatch applies one write batch through the secondary.Table:
-// the table maintains every secondary, then co-commits all roots. The
-// table's mutation methods are not concurrency-safe, so the whole apply
-// runs under s.mu. A raced co-commit (ErrCommitRaced) leaves the table
-// state coherent and propagates for handleConn to map to msgErrRetry.
-func (s *Servlet) commitTableBatch(entries []core.Entry, deadline time.Time) (byte, []byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Check after taking s.mu: waiting behind another table batch burns the
-	// budget, and the table has not been touched yet, so aborting is clean.
-	if budgetExpired(deadline) {
-		return 0, nil, fmt.Errorf("%w: before applying table batch", ErrBudgetExceeded)
-	}
-	if err := s.tbl.PutBatch(entries); err != nil {
-		return 0, nil, err
-	}
-	if _, err := s.tbl.Commit(fmt.Sprintf("forkbase: put %d entries", len(entries))); err != nil {
-		return 0, nil, err
-	}
-	s.idx = s.tbl.Primary()
-	return msgRoot, encodeRoot(s.idx.RootHash(), s.headHeight()), nil
-}
-
-// headHeight reports the head's tree height when it exposes one. Caller
-// holds s.mu.
-func (s *Servlet) headHeight() int {
-	if h, ok := s.idx.(heighter); ok {
-		return h.Height()
-	}
-	return 0
+	return msgRoot, encodeRoot(c.Root, c.Height), nil
 }

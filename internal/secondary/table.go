@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/hash"
 	"repro/internal/store"
 	"repro/internal/version"
 )
@@ -39,8 +40,12 @@ type Def struct {
 // The index values it hands out are immutable and safe to read
 // concurrently, like every core.Index version.
 type Table struct {
-	repo   *version.Repo
-	branch string
+	repo       *version.Repo
+	branch     string
+	newPrimary func(s store.Store) (core.Index, error)
+	// head is the commit the state derives from: hash.Null for a branch
+	// that did not exist yet. It is Commit's expected parent.
+	head hash.Hash
 
 	primary core.Index
 	defs    []Def
@@ -51,13 +56,10 @@ type Table struct {
 // index.
 var ErrNoDef = errors.New("secondary: attribute not indexed")
 
-// Open binds (or creates) the table state on branch. When the branch
-// exists, the primary is checked out from its head and each secondary is
-// loaded from the head's RootRefs trailer; a secondary the head does not
-// record — a Def added after data was committed — is backfilled by one
-// scan of the primary. When the branch does not exist, every index starts
-// empty and the first Commit creates it. The repo must have a Loader
-// registered for every index class involved.
+// Open binds (or creates) the table state on branch: it is At the
+// branch's current head, or the empty table when the branch does not
+// exist yet, in which case the first Commit creates it. The repo must have
+// a Loader registered for every index class involved.
 func Open(repo *version.Repo, branch string, newPrimary func(s store.Store) (core.Index, error), defs ...Def) (*Table, error) {
 	if branch == "" {
 		return nil, errors.New("secondary: empty branch name")
@@ -67,24 +69,33 @@ func Open(repo *version.Repo, branch string, newPrimary func(s store.Store) (cor
 			return nil, fmt.Errorf("secondary: def %q needs Attr, Extract and New", d.Attr)
 		}
 	}
-	t := &Table{repo: repo, branch: branch, defs: append([]Def(nil), defs...)}
-	head, hasHead := repo.Head(branch)
+	t := &Table{repo: repo, branch: branch, newPrimary: newPrimary, defs: append([]Def(nil), defs...)}
+	head, _ := repo.Head(branch)
+	return t.At(head)
+}
+
+// At returns the table state head records, leaving t unchanged; head is a
+// commit on the table's branch, the zero Commit for the empty table a new
+// branch starts from. The primary is checked out from head and each
+// secondary loaded from the head's RootRefs trailer; a secondary the head
+// does not record — a Def added after data was committed — is backfilled
+// by one scan of the primary. At is how a writer whose Commit failed with
+// version.ErrHeadMoved or version.ErrCommitRaced re-derives the table from
+// a fresh head before re-applying its mutations.
+func (t *Table) At(head version.Commit) (*Table, error) {
+	n := &Table{repo: t.repo, branch: t.branch, newPrimary: t.newPrimary, head: head.ID, defs: t.defs}
+	hasHead := !head.ID.IsNull()
+	var err error
 	if hasHead {
-		idx, err := repo.Checkout(head.ID)
-		if err != nil {
+		if n.primary, err = t.repo.Checkout(head.ID); err != nil {
 			return nil, fmt.Errorf("secondary: open primary: %w", err)
 		}
-		t.primary = idx
-	} else {
-		idx, err := newPrimary(repo.Store())
-		if err != nil {
-			return nil, fmt.Errorf("secondary: new primary: %w", err)
-		}
-		t.primary = idx
+	} else if n.primary, err = t.newPrimary(t.repo.Store()); err != nil {
+		return nil, fmt.Errorf("secondary: new primary: %w", err)
 	}
 	refs := version.MetaRoots(head)
-	t.secs = make([]core.Index, len(defs))
-	for i, d := range defs {
+	n.secs = make([]core.Index, len(t.defs))
+	for i, d := range t.defs {
 		var found *version.RootRef
 		for j := range refs {
 			if refs[j].Name == d.Attr {
@@ -93,26 +104,26 @@ func Open(repo *version.Repo, branch string, newPrimary func(s store.Store) (cor
 			}
 		}
 		if found != nil {
-			sec, err := repo.LoadRoot(found.Class, found.Root, found.Height)
+			sec, err := t.repo.LoadRoot(found.Class, found.Root, found.Height)
 			if err != nil {
 				return nil, fmt.Errorf("secondary: open %q: %w", d.Attr, err)
 			}
-			t.secs[i] = sec
+			n.secs[i] = sec
 			continue
 		}
-		sec, err := d.New(repo.Store())
+		sec, err := d.New(t.repo.Store())
 		if err != nil {
 			return nil, fmt.Errorf("secondary: new %q: %w", d.Attr, err)
 		}
 		if hasHead {
-			sec, err = backfill(sec, t.primary, d)
+			sec, err = backfill(sec, n.primary, d)
 			if err != nil {
 				return nil, fmt.Errorf("secondary: backfill %q: %w", d.Attr, err)
 			}
 		}
-		t.secs[i] = sec
+		n.secs[i] = sec
 	}
-	return t, nil
+	return n, nil
 }
 
 // backfill populates a fresh secondary from the current primary contents
@@ -130,6 +141,12 @@ func backfill(sec core.Index, primary core.Index, d Def) (core.Index, error) {
 	}
 	return sec.PutBatch(derived)
 }
+
+// Repo returns the repo the table commits to.
+func (t *Table) Repo() *version.Repo { return t.repo }
+
+// Branch returns the branch the table commits to.
+func (t *Table) Branch() string { return t.branch }
 
 // Primary returns the current (uncommitted) primary index version.
 func (t *Table) Primary() core.Index { return t.primary }
@@ -245,6 +262,9 @@ func (t *Table) PutBatch(entries []core.Entry) error {
 	dels := make([][][]byte, len(t.defs))
 	puts := make([][]core.Entry, len(t.defs))
 	for _, e := range norm {
+		if len(t.defs) == 0 {
+			break // no secondary to maintain: skip the old-value reads
+		}
 		old, hadOld, err := t.primary.Get(e.Key)
 		if err != nil {
 			return err
@@ -307,11 +327,19 @@ func (t *Table) RootRefs() []version.RootRef {
 // Commit records the current primary and every secondary root in one
 // commit on the table's branch — the atomic co-commit: either the head
 // advances with all roots or it does not advance at all. The returned
-// commit's Meta decodes via version.DecodeRootRefs.
+// commit's Meta decodes via version.DecodeRootRefs. With no Defs the
+// commit carries no metadata and is exactly a plain Repo.Commit.
 //
-// On version.ErrCommitRaced (the commit lost its pages to a concurrent GC
-// pass), the table's in-memory state is unchanged and still coherent;
-// reopen with Open and re-apply the mutations, as with Repo.Commit.
+// The commit is guarded by the head the table state derives from (see
+// version.Repo.CommitOnto). On version.ErrHeadMoved (another writer
+// advanced the branch) or version.ErrCommitRaced (the commit lost its
+// pages to a concurrent GC pass) nothing is recorded and the table's
+// in-memory state is unchanged but stale: re-derive it with At on the
+// current head (or Open) and re-apply the mutations.
 func (t *Table) Commit(message string) (version.Commit, error) {
-	return t.repo.CommitMeta(t.branch, t.primary, message, version.EncodeRootRefs(t.RootRefs()))
+	c, err := t.repo.CommitOnto(t.branch, t.head, t.primary, message, version.EncodeRootRefs(t.RootRefs()))
+	if !c.ID.IsNull() { // recorded, even if persisting the head failed
+		t.head = c.ID
+	}
+	return c, err
 }

@@ -29,6 +29,16 @@
 // reconstructs a read view of any commit through the Loader registered for
 // its index class.
 //
+// Repo.Commit moves the head unconditionally. A writer that checked the
+// head out, derived a successor and commits it must not use it when other
+// writers share the branch: one of two racing writers would silently drop
+// the other's commit. CommitOnto is the compare-and-swap form — it commits
+// only while the expected parent is still the head and otherwise fails
+// with ErrHeadMoved, recording nothing — and CommitRetry runs the whole
+// read-modify-write through it, redoing the mutation from a fresh checkout
+// until it wins or its retry budget runs out, so concurrent writers on one
+// branch are linearizable.
+//
 // # Garbage collection
 //
 // GC(retain...) is mark-and-sweep over the content-addressed store. Mark:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -42,6 +43,13 @@ var (
 	// reclaimed it. The store is consistent — the commit was not recorded
 	// — and the fix is to redo the mutation from a fresh checkout.
 	ErrCommitRaced = errors.New("version: commit raced a GC pass; redo the mutation from a fresh checkout")
+	// ErrHeadMoved reports a guarded commit (CommitOnto, and every
+	// CommitRetry attempt) whose expected parent is no longer the branch
+	// head: another writer advanced, created or moved the branch after this
+	// one checked it out. Nothing was recorded — committing anyway would
+	// silently drop the other writer's version — and the fix is to redo the
+	// mutation from a fresh checkout.
+	ErrHeadMoved = errors.New("version: branch head moved; redo the mutation from a fresh checkout")
 )
 
 // Repo is a commit log plus named branches over one content-addressed
@@ -70,6 +78,10 @@ type Repo struct {
 	branches map[string]hash.Hash
 	gcHooks  []func(live store.LiveFunc)
 	now      func() time.Time
+	// heads is a copy of the branch heads, republished under mu after
+	// every head move, so Head never waits behind a commit holding mu
+	// through its head persistence (an fsync on DiskStore).
+	heads atomic.Pointer[map[string]Commit]
 
 	// pins maps commit ID → refcounted reader lease (see pin.go). Guarded
 	// by mu.
@@ -100,6 +112,7 @@ func NewRepo(s store.Store) *Repo {
 		pins:     make(map[hash.Hash]*pinEntry),
 	}
 	r.gcCond = sync.NewCond(&r.mu)
+	r.publishHeadsLocked()
 	for name, head := range loadHeads(s) {
 		// Resume without re-persisting: the heads just came from the
 		// store, and rewriting the record once per branch would open a
@@ -155,11 +168,31 @@ func (r *Repo) Commit(branch string, idx core.Index, message string) (Commit, er
 // referenced root clears the GC admission gate and is marked and scrubbed
 // alongside the primary (see RootRef).
 func (r *Repo) CommitMeta(branch string, idx core.Index, message string, meta []byte) (Commit, error) {
+	return r.commit(branch, idx, message, meta, nil)
+}
+
+// CommitOnto is CommitMeta guarded by the branch head the version was
+// derived from: it records the commit only while parent is still the head
+// of branch (hash.Null: while the branch does not exist), and otherwise
+// fails with ErrHeadMoved, recording nothing. This compare-and-swap on the
+// head is what makes a read-modify-write of a branch linearizable; the
+// CommitRetry loop commits every attempt through it.
+func (r *Repo) CommitOnto(branch string, parent hash.Hash, idx core.Index, message string, meta []byte) (Commit, error) {
+	return r.commit(branch, idx, message, meta, &parent)
+}
+
+// commit implements CommitMeta and CommitOnto; a nil parent skips the head
+// check.
+func (r *Repo) commit(branch string, idx core.Index, message string, meta []byte, parent *hash.Hash) (Commit, error) {
 	if branch == "" {
 		return Commit{}, errors.New("version: empty branch name")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	head, hasHead := r.branches[branch]
+	if parent != nil && head != *parent {
+		return Commit{}, fmt.Errorf("%w: %q is at %v, expected %v", ErrHeadMoved, branch, head, *parent)
+	}
 	// Probe the store's write path before anything moves: a degraded store
 	// (disk full — store.ErrNoSpace — or any other flush failure) rejects
 	// the commit with the typed cause while the branch head, the commit log
@@ -182,7 +215,7 @@ func (r *Repo) CommitMeta(branch string, idx core.Index, message string, meta []
 	if h, ok := idx.(interface{ Height() int }); ok {
 		c.Height = h.Height()
 	}
-	if head, ok := r.branches[branch]; ok {
+	if hasHead {
 		c.Parents = []hash.Hash{head}
 	}
 	if err := r.gcAdmitCommitLocked(c.Root); err != nil {
@@ -209,16 +242,23 @@ func (r *Repo) CommitMeta(branch string, idx core.Index, message string, meta []
 	return c, nil
 }
 
-// Head returns the commit a branch points at.
+// Head returns the commit a branch points at. It takes no lock, so it
+// does not wait for a concurrent commit or GC pass.
 func (r *Repo) Head(branch string) (Commit, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	id, ok := r.branches[branch]
-	if !ok {
-		return Commit{}, false
-	}
-	c, ok := r.commits[id]
+	c, ok := (*r.heads.Load())[branch]
 	return c, ok
+}
+
+// publishHeadsLocked republishes the branch heads Head reads. Caller holds
+// r.mu (or owns r exclusively).
+func (r *Repo) publishHeadsLocked() {
+	heads := make(map[string]Commit, len(r.branches))
+	for name, id := range r.branches {
+		if c, ok := r.commits[id]; ok {
+			heads[name] = c
+		}
+	}
+	r.heads.Store(&heads)
 }
 
 // Branch creates branch name at the known commit id, or moves it there if
@@ -371,6 +411,7 @@ func (r *Repo) resumeBranch(name string, head hash.Hash, persist bool) error {
 	}
 	r.branches[name] = head
 	if !persist {
+		r.publishHeadsLocked()
 		return nil
 	}
 	return r.persistHeadsLocked()
@@ -394,8 +435,10 @@ func (r *Repo) OnGC(hook func(live store.LiveFunc)) {
 // authoritative for the process lifetime either way). A write failure on a
 // capable store is returned: heads are the one mutable pointer in the
 // system, and losing one silently rolls a branch back on the next reopen.
-// Caller holds r.mu.
+// Every head move ends here: Head sees the move once this returns,
+// whether or not the store could persist it. Caller holds r.mu.
 func (r *Repo) persistHeadsLocked() error {
+	defer r.publishHeadsLocked()
 	if _, ok := r.s.(store.MetaStore); !ok {
 		return nil
 	}
