@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	siribench [-scale small|medium|full] [-store mem|sharded|disk] [experiment ...]
+//	siribench [-scale small|medium|full] [-store mem|disk] [experiment ...]
 //	siribench [flags] version log|gc|verify
 //	siribench [flags] verify
 //	siribench [flags] ingest demo
@@ -14,9 +14,9 @@
 // paper plots.
 //
 // Every experiment can run against each node-store backend: -store selects
-// it (in-memory single-lock, in-memory sharded, or append-only segment
-// files on disk), -shards and -storedir tune the latter two, and -cache
-// layers a bounded LRU node cache over whichever backend is active.
+// it (in-memory, or append-only segment files on disk), -storedir places
+// the latter, and -cache layers a bounded LRU node cache over whichever
+// backend is active.
 //
 // The version verbs demonstrate the version-management subsystem
 // (internal/version): `version log` builds a scale-sized commit history and
@@ -52,7 +52,6 @@ func main() {
 		"also write a machine-readable report (ops/s tables + store stats per experiment) to this path, e.g. BENCH_2.json")
 	storeName := flag.String("store", store.BackendMem,
 		"node store backend: "+strings.Join(store.Backends(), ", "))
-	shards := flag.Int("shards", 0, "shard count for -store=sharded (0 = default)")
 	storeDir := flag.String("storedir", "", "base directory for -store=disk segment files (default: OS temp dir)")
 	cacheBytes := flag.Int64("cache", 0, "LRU node-cache bytes layered over the store backend (0 = no cache)")
 	clientCache := flag.Int64("clientcache", 0,
@@ -64,7 +63,7 @@ func main() {
 	overloadMS := flag.Int("overloadms", 0,
 		"measurement window in milliseconds per overload-experiment cell (0 = scale default)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: siribench [-scale small|medium|full] [-store mem|sharded|disk] [experiment ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: siribench [-scale small|medium|full] [-store mem|disk] [experiment ...]\n")
 		fmt.Fprintf(os.Stderr, "       siribench [flags] version log|gc|verify\n")
 		fmt.Fprintf(os.Stderr, "       siribench [flags] verify\n")
 		fmt.Fprintf(os.Stderr, "       siribench [flags] ingest demo\n\n")
@@ -91,7 +90,6 @@ func main() {
 	}
 	scale.Store = bench.StoreConfig{
 		Backend:    *storeName,
-		Shards:     *shards,
 		Dir:        *storeDir,
 		CacheBytes: *cacheBytes,
 	}

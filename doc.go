@@ -4,9 +4,9 @@
 // Pattern-Oriented-Split Tree — plus the MVMB+-Tree baseline, a Prolly Tree,
 // a Forkbase-style client/server engine, the paper's workload generators,
 // and a benchmark harness regenerating every table and figure of the
-// evaluation. Node storage is pluggable: in-memory (single-lock or
-// sharded) and append-only on-disk backends share one content-addressed
-// store contract, selectable per experiment via siribench's -store flag.
+// evaluation. Node storage is pluggable: a lock-striped in-memory backend
+// and an append-only on-disk backend share one content-addressed store
+// contract, selectable per experiment via siribench's -store flag.
 //
 // Writes follow a stage → commit → batch-flush pipeline: batch updates
 // mutate decoded in-memory nodes (MPT on a dirty overlay, MBT and

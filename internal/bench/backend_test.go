@@ -60,12 +60,12 @@ func TestFig21DiskBackend(t *testing.T) {
 }
 
 // TestFig14CachedShardedBackend exercises the cache layering the -cache
-// flag selects.
+// flag selects, over the (lock-striped) in-memory backend.
 func TestFig14CachedShardedBackend(t *testing.T) {
 	sc := tinyScale()
-	sc.Store = StoreConfig{Backend: store.BackendSharded, Shards: 4, CacheBytes: 1 << 20}
+	sc.Store = StoreConfig{Backend: store.BackendMem, CacheBytes: 1 << 20}
 	if _, err := Fig14(sc); err != nil {
-		t.Fatalf("fig14 with sharded+cache: %v", err)
+		t.Fatalf("fig14 with mem+cache: %v", err)
 	}
 }
 

@@ -89,10 +89,9 @@ type Scale struct {
 	SecondaryRows int
 
 	// Store selects the node-store backend every candidate builds on, so
-	// each table/figure can run against the mem/sharded/disk ×
-	// cache-size matrix. The zero value is the historical default: an
-	// uncached MemStore. cmd/siribench populates it from -store/-shards/
-	// -storedir/-cache.
+	// each table/figure can run against the mem/disk × cache-size matrix.
+	// The zero value is the historical default: an uncached MemStore.
+	// cmd/siribench populates it from -store/-storedir/-cache.
 	Store StoreConfig
 	// ClientCacheBytes bounds the Forkbase client node cache in the
 	// system experiments (Figures 21–22). 0 selects the paper's default
@@ -162,8 +161,7 @@ func (sc Scale) WithStoreTracking() (Scale, func()) {
 
 // StoreConfig mirrors store.Config for the fields experiments may vary.
 type StoreConfig struct {
-	Backend    string // "mem" (default), "sharded" or "disk"
-	Shards     int    // sharded backend; 0 = store.DefaultShards
+	Backend    string // "mem" (default) or "disk"
 	Dir        string // disk backend base dir; "" = OS temp dir
 	CacheBytes int64  // >0 layers an LRU cache over the backend
 }
@@ -174,7 +172,6 @@ type StoreConfig struct {
 func (sc Scale) NewStore() (store.Store, error) {
 	s, err := store.Open(store.Config{
 		Backend:    sc.Store.Backend,
-		Shards:     sc.Store.Shards,
 		Dir:        sc.Store.Dir,
 		CacheBytes: sc.Store.CacheBytes,
 	})

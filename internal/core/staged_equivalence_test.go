@@ -34,7 +34,7 @@ func equivalenceBackends() []struct {
 			return open(t, store.Config{Backend: store.BackendMem})
 		}},
 		{"sharded", func(t *testing.T) store.Store {
-			return open(t, store.Config{Backend: store.BackendSharded, Shards: 8})
+			return store.NewShardedStore(8)
 		}},
 		{"disk", func(t *testing.T) store.Store {
 			return open(t, store.Config{Backend: store.BackendDisk, Dir: t.TempDir()})

@@ -89,9 +89,10 @@ func (b *Barrier) Len() int {
 }
 
 // BarrierStore is the concurrent-GC capability of the store contract: a
-// store that can record writes landing during a reclamation pass. All four
-// built-in backends implement it (CachedStore by delegating to its
-// backing, since indexes may write to the backing directly).
+// store that can record writes landing during a reclamation pass. Both
+// built-in backends implement it; every Wrapper forwards it to the store
+// it wraps, since indexes may write to the backing directly and the
+// barrier must live where the bytes land.
 type BarrierStore interface {
 	// ArmBarrier installs a fresh write barrier and returns it. Every
 	// subsequent Put/PutBatch records its digests (dedup hits included)
@@ -176,36 +177,21 @@ func (bh *barrierHolder) wrap(live LiveFunc) LiveFunc {
 	return func(h hash.Hash) bool { return live(h) || b.Has(h) }
 }
 
-// Compile-time checks: every built-in backend supports the write barrier.
+// Compile-time checks: every built-in store supports the write barrier.
 var (
 	_ BarrierStore = (*MemStore)(nil)
-	_ BarrierStore = (*ShardedStore)(nil)
 	_ BarrierStore = (*DiskStore)(nil)
 	_ BarrierStore = (*CachedStore)(nil)
 )
 
 // ArmBarrier implements BarrierStore.
-func (m *MemStore) ArmBarrier() (*Barrier, error) { return m.bar.arm() }
+func (s *MemStore) ArmBarrier() (*Barrier, error) { return s.bar.arm() }
 
 // DisarmBarrier implements BarrierStore.
-func (m *MemStore) DisarmBarrier() { m.bar.disarm() }
-
-// ArmBarrier implements BarrierStore.
-func (s *ShardedStore) ArmBarrier() (*Barrier, error) { return s.bar.arm() }
-
-// DisarmBarrier implements BarrierStore.
-func (s *ShardedStore) DisarmBarrier() { s.bar.disarm() }
+func (s *MemStore) DisarmBarrier() { s.bar.disarm() }
 
 // ArmBarrier implements BarrierStore.
 func (d *DiskStore) ArmBarrier() (*Barrier, error) { return d.bar.arm() }
 
 // DisarmBarrier implements BarrierStore.
 func (d *DiskStore) DisarmBarrier() { d.bar.disarm() }
-
-// ArmBarrier implements BarrierStore by delegating to the backing store:
-// the cache layer writes through, and index structures may hold the
-// backing directly, so the barrier must live where the bytes land.
-func (c *CachedStore) ArmBarrier() (*Barrier, error) { return ArmBarrier(c.backing) }
-
-// DisarmBarrier implements BarrierStore.
-func (c *CachedStore) DisarmBarrier() { DisarmBarrier(c.backing) }

@@ -8,13 +8,14 @@ import (
 
 // Batcher is the batch write path of the store contract. A single PutBatch
 // call persists many nodes with one round of synchronization: the in-memory
-// backends take their lock(s) once for the whole batch and the disk backend
+// backend takes each shard lock once for the whole batch and the disk backend
 // turns the batch into one buffered append run. Semantics are exactly those
 // of calling Put on every item in order — same returned digests, same
 // dedup and accounting — only cheaper.
 //
-// All four built-in backends implement Batcher; use the package-level
-// PutBatch helper to get a looped-Put fallback for foreign stores.
+// Both built-in backends and every Wrapper implement Batcher; use the
+// package-level PutBatch helper to get a looped-Put fallback for foreign
+// stores.
 type Batcher interface {
 	// PutBatch stores every item under its SHA-256 digest and returns the
 	// digests in item order. Duplicate items (within the batch or against
@@ -63,63 +64,18 @@ func PutBatchHashed(s Store, hashes []hash.Hash, items [][]byte) {
 	}
 }
 
-// hashAll digests every item across the hash package's worker pool. Shared
-// by the backends' PutBatch implementations, which all reduce to
-// PutBatchHashed after this step; large batches therefore hash in parallel
-// even for callers that did not pre-compute digests.
-func hashAll(items [][]byte) []hash.Hash {
-	return hash.OfAll(items)
-}
-
-// Compile-time checks: every built-in backend supports both batch paths.
+// Compile-time checks: every built-in store supports both batch paths.
 var (
 	_ HashedBatcher = (*MemStore)(nil)
-	_ HashedBatcher = (*ShardedStore)(nil)
 	_ HashedBatcher = (*DiskStore)(nil)
 	_ HashedBatcher = (*CachedStore)(nil)
 )
 
-// PutBatch implements Batcher: the whole batch is hashed outside the lock,
-// then inserted under one lock acquisition.
-func (m *MemStore) PutBatch(items [][]byte) []hash.Hash {
-	hs := hashAll(items)
-	m.PutBatchHashed(hs, items)
-	return hs
-}
-
-// PutBatchHashed implements HashedBatcher. The whole batch runs inside one
-// barrier write window: an armed barrier records every digest before the
-// nodes become visible, and a barrier armed mid-batch waits for the batch
-// to finish — so a concurrent GC pass either sees the entire batch
-// resident before its mark starts (the committer's root re-check covers
-// that side) or has every node of it recorded as live.
-func (m *MemStore) PutBatchHashed(hashes []hash.Hash, items [][]byte) {
-	if b := m.bar.beginWrite(); b != nil {
-		b.recordAll(hashes)
-	}
-	defer m.bar.endWrite()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, data := range items {
-		h := hashes[i]
-		m.stats.RawNodes++
-		m.stats.RawBytes += int64(len(data))
-		if _, ok := m.nodes[h]; ok {
-			m.stats.DedupHits++
-			continue
-		}
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		m.nodes[h] = cp
-		m.stats.UniqueNodes++
-		m.stats.UniqueBytes += int64(len(data))
-	}
-}
-
-// PutBatch implements Batcher: items are hashed lock-free, grouped by shard,
-// and each shard's lock is taken once for its whole group.
-func (s *ShardedStore) PutBatch(items [][]byte) []hash.Hash {
-	hs := hashAll(items)
+// PutBatch implements Batcher: items are hashed lock-free (across the hash
+// package's worker pool), grouped by shard, and each shard's lock is taken
+// once for its whole group.
+func (s *MemStore) PutBatch(items [][]byte) []hash.Hash {
+	hs := hash.OfAll(items)
 	s.PutBatchHashed(hs, items)
 	return hs
 }
@@ -133,10 +89,13 @@ var batchShardConcurrency = 8
 // written sequentially; tiny batches don't amortize goroutine startup.
 const batchConcurrencyCutoff = 256
 
-// PutBatchHashed implements HashedBatcher. The batch runs inside one
-// barrier write window (see MemStore.PutBatchHashed): recorded before any
-// shard insert, and never straddling a barrier arm.
-func (s *ShardedStore) PutBatchHashed(hashes []hash.Hash, items [][]byte) {
+// PutBatchHashed implements HashedBatcher. The whole batch runs inside one
+// barrier write window: an armed barrier records every digest before the
+// nodes become visible, and a barrier armed mid-batch waits for the batch
+// to finish — so a concurrent GC pass either sees the entire batch
+// resident before its mark starts (the committer's root re-check covers
+// that side) or has every node of it recorded as live.
+func (s *MemStore) PutBatchHashed(hashes []hash.Hash, items [][]byte) {
 	if b := s.bar.beginWrite(); b != nil {
 		b.recordAll(hashes)
 	}
@@ -204,7 +163,7 @@ func (s *ShardedStore) PutBatchHashed(hashes []hash.Hash, items [][]byte) {
 // into a single buffered append run (segment rolls and FlushBytes-driven
 // flushes still apply inside).
 func (d *DiskStore) PutBatch(items [][]byte) []hash.Hash {
-	hs := hashAll(items)
+	hs := hash.OfAll(items)
 	d.PutBatchHashed(hs, items)
 	return hs
 }
@@ -227,14 +186,14 @@ func (d *DiskStore) PutBatchHashed(hashes []hash.Hash, items [][]byte) {
 // PutBatch implements Batcher: the batch goes to the backing store's batch
 // path, then the cache is populated under one lock acquisition.
 func (c *CachedStore) PutBatch(items [][]byte) []hash.Hash {
-	hs := hashAll(items)
+	hs := hash.OfAll(items)
 	c.PutBatchHashed(hs, items)
 	return hs
 }
 
 // PutBatchHashed implements HashedBatcher.
 func (c *CachedStore) PutBatchHashed(hashes []hash.Hash, items [][]byte) {
-	PutBatchHashed(c.backing, hashes, items)
+	PutBatchHashed(c.inner, hashes, items)
 	c.mu.Lock()
 	for i, data := range items {
 		c.insert(hashes[i], data)

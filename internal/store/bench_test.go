@@ -10,8 +10,8 @@ import (
 )
 
 // benchBackends pairs every backend with a constructor for the concurrent
-// throughput comparison. The sharded store's win over the single-mutex
-// MemStore under parallel Put/Get is the point of these benchmarks:
+// throughput comparison. How the lock-striped MemStore and the DiskStore
+// scale under parallel Put/Get is the point of these benchmarks:
 //
 //	go test ./internal/store -bench 'Parallel' -cpu 1,4,8
 func benchBackends(b *testing.B) []struct {
@@ -23,7 +23,6 @@ func benchBackends(b *testing.B) []struct {
 		new  func() store.Store
 	}{
 		{"mem", func() store.Store { return store.NewMemStore() }},
-		{"sharded", func() store.Store { return store.NewShardedStore(0) }},
 		{"disk", func() store.Store {
 			d, err := store.OpenDiskStore(b.TempDir(), store.DiskOptions{})
 			if err != nil {

@@ -11,9 +11,14 @@ import (
 // the client-side read path of the Forkbase-style system experiment
 // (Figure 21): remote node fetches hit the backing store, while repeated
 // reads of hot nodes are served locally. Because nodes are immutable and
-// content-addressed, the cache never needs invalidation.
+// content-addressed, the cache never needs invalidation — except by
+// reclamation, which is why Delete and Sweep evict as well as forward.
+// The remaining capabilities (metadata, flush, write barrier, close, disk
+// usage) come from the embedded Wrapper: the cache writes through, and
+// index structures may hold the backing store directly, so they must act
+// where the bytes land.
 type CachedStore struct {
-	backing Store
+	Wrapper
 
 	mu      sync.Mutex
 	entries map[hash.Hash]*list.Element
@@ -33,7 +38,7 @@ type cacheEntry struct {
 // content. A maxBytes of 0 disables caching (every Get goes to backing).
 func NewCachedStore(backing Store, maxBytes int64) *CachedStore {
 	return &CachedStore{
-		backing: backing,
+		Wrapper: NewWrapper(backing),
 		entries: make(map[hash.Hash]*list.Element),
 		order:   list.New(),
 		maxB:    maxBytes,
@@ -43,7 +48,7 @@ func NewCachedStore(backing Store, maxBytes int64) *CachedStore {
 // Put writes through to the backing store and populates the cache, since a
 // node just written is likely to be re-read while building parents.
 func (c *CachedStore) Put(data []byte) hash.Hash {
-	h := c.backing.Put(data)
+	h := c.inner.Put(data)
 	c.mu.Lock()
 	c.insert(h, data)
 	c.mu.Unlock()
@@ -63,7 +68,7 @@ func (c *CachedStore) Get(h hash.Hash) ([]byte, bool) {
 	c.misses++
 	c.mu.Unlock()
 
-	data, ok := c.backing.Get(h)
+	data, ok := c.inner.Get(h)
 	if ok {
 		c.mu.Lock()
 		c.insert(h, data)
@@ -80,15 +85,8 @@ func (c *CachedStore) Has(h hash.Hash) bool {
 	if ok {
 		return true
 	}
-	return c.backing.Has(h)
+	return c.inner.Has(h)
 }
-
-// Stats reports the backing store's accounting.
-func (c *CachedStore) Stats() Stats { return c.backing.Stats() }
-
-// Close releases the backing store's resources (a no-op for in-memory
-// backings), so Release reaches through the cache layer.
-func (c *CachedStore) Close() error { return Release(c.backing) }
 
 // Purge evicts every cached node that live reports dead. CachedStore.Sweep
 // already purges the cache it is called on, but client-side caches layered

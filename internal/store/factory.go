@@ -9,21 +9,18 @@ import (
 
 // Backend names accepted by Open and the -store flag of cmd/siribench.
 const (
-	BackendMem     = "mem"     // single-lock in-memory map (MemStore)
-	BackendSharded = "sharded" // N-way sharded in-memory map (ShardedStore)
-	BackendDisk    = "disk"    // append-only segment files (DiskStore)
+	BackendMem  = "mem"  // lock-striped in-memory map (MemStore)
+	BackendDisk = "disk" // append-only segment files (DiskStore)
 )
 
 // Backends lists the selectable backend names.
-func Backends() []string { return []string{BackendMem, BackendSharded, BackendDisk} }
+func Backends() []string { return []string{BackendMem, BackendDisk} }
 
 // Config selects and tunes a store backend. The zero value opens a plain
 // MemStore, matching the repository's historical default.
 type Config struct {
 	// Backend is one of Backends(); empty means "mem".
 	Backend string
-	// Shards is the shard count for the sharded backend (0 = DefaultShards).
-	Shards int
 	// Dir is the base directory for the disk backend. Every Open call
 	// creates a fresh unique subdirectory under it, so concurrent
 	// experiments never collide; empty means the OS temp directory. To
@@ -49,8 +46,6 @@ func Open(cfg Config) (Store, error) {
 	switch cfg.Backend {
 	case "", BackendMem:
 		base = NewMemStore()
-	case BackendSharded:
-		base = NewShardedStore(cfg.Shards)
 	case BackendDisk:
 		dir := cfg.Dir
 		if dir == "" {
@@ -79,8 +74,8 @@ func Open(cfg Config) (Store, error) {
 	return base, nil
 }
 
-// Release closes s if it holds OS resources (DiskStore, or a CachedStore
-// over one); purely in-memory stores are a no-op. Benchmarks call it after
+// Release closes s if it holds OS resources (DiskStore, or a wrapper over
+// one); purely in-memory stores are a no-op. Benchmarks call it after
 // every store they open so disk-backed runs do not accumulate file handles.
 func Release(s Store) error {
 	if c, ok := s.(io.Closer); ok {

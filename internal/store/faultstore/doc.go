@@ -6,10 +6,11 @@
 //
 // # Design
 //
-// FaultStore implements every optional capability of the store contract
-// (Batcher, HashedBatcher, Deleter, Sweeper, MetaStore, BarrierStore,
-// Flusher, io.Closer) by forwarding to the wrapped store, with a fault
-// decision in front of each forwarding call. Fault scheduling is
+// FaultStore embeds store.Wrapper, which forwards every optional
+// capability of the store contract (Batcher, HashedBatcher, Deleter,
+// Sweeper, MetaStore, BarrierStore, Flusher, io.Closer, DiskUsage) to the
+// wrapped store, and overrides the operations it faults with a fault
+// decision in front of the forwarding call. Fault scheduling is
 // counter-based — "every Nth call to this operation fails" — rather than
 // probabilistic, because counters stay deterministic even when the suite
 // runs operations concurrently: N calls produce exactly N/k injected
@@ -36,9 +37,10 @@
 //     DiskOptions.CrashHook) can be routed into the same arming machinery
 //     through the Hook method.
 //
-// Barrier and Has calls forward unconditionally: they are the concurrent-
-// GC correctness machinery, and injecting faults there would not simulate
-// an IO failure, it would simulate a broken algorithm.
+// Barrier and Has calls are not overridden, so they forward
+// unconditionally: they are the concurrent-GC correctness machinery (Has is
+// the commit gate's race detector), and injecting faults there would not
+// simulate an IO failure, it would simulate a broken algorithm.
 //
 // # Verify-on-read scrubbing
 //

@@ -124,12 +124,13 @@ func CrashPoints() []string {
 }
 
 // FaultStore wraps a store.Store and injects configured faults in front of
-// every forwarded operation. It implements the full capability surface of
-// the store contract; capabilities the wrapped store lacks report the
-// store package's usual capability errors. Safe for concurrent use.
+// every faulted operation. It embeds store.Wrapper, so it carries the full
+// capability surface of the store contract; capabilities the wrapped store
+// lacks report the store package's usual capability errors. Safe for
+// concurrent use.
 type FaultStore struct {
-	base store.Store
-	cfg  atomic.Pointer[Config]
+	store.Wrapper
+	cfg atomic.Pointer[Config]
 
 	// Per-operation arrival counters driving the *Every schedules.
 	getN, putN, delN, sweepN, metaN, flushN, opN atomic.Int64
@@ -146,16 +147,13 @@ type FaultStore struct {
 // Wrap returns a FaultStore injecting cfg's faults in front of base.
 func Wrap(base store.Store, cfg Config) *FaultStore {
 	f := &FaultStore{
-		base: base,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		arms: make(map[string]int),
+		Wrapper: store.NewWrapper(base),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		arms:    make(map[string]int),
 	}
 	f.cfg.Store(&cfg)
 	return f
 }
-
-// Unwrap returns the wrapped store.
-func (f *FaultStore) Unwrap() store.Store { return f.base }
 
 // Heal disables every transient-fault and latency schedule, including the
 // persistent NoSpace mode (armed crash points stay armed). The two-phase
@@ -297,7 +295,7 @@ func (f *FaultStore) Put(data []byte) hash.Hash {
 		return hash.Of(data)
 	}
 	f.hit(CrashPut)
-	return f.base.Put(data)
+	return f.Wrapper.Put(data)
 }
 
 // Get implements store.Store. A scheduled fault reports a miss; with
@@ -309,21 +307,13 @@ func (f *FaultStore) Get(h hash.Hash) ([]byte, bool) {
 		f.ctr.get.Add(1)
 		return nil, false
 	}
-	data, ok := f.base.Get(h)
+	data, ok := f.Wrapper.Get(h)
 	if ok && f.cfg.Load().VerifyReads && hash.Of(data) != h {
 		f.ctr.corrupt.Add(1)
 		return nil, false
 	}
 	return data, ok
 }
-
-// Has implements store.Store, forwarding unconditionally: Has is the
-// commit gate's race detector, and faulting it would simulate a broken
-// algorithm, not a broken disk.
-func (f *FaultStore) Has(h hash.Hash) bool { return f.base.Has(h) }
-
-// Stats implements store.Store by forwarding.
-func (f *FaultStore) Stats() store.Stats { return f.base.Stats() }
 
 // PutBatch implements store.Batcher: items are hashed here, then follow
 // the PutBatchHashed path so per-item drop scheduling applies uniformly.
@@ -356,7 +346,7 @@ func (f *FaultStore) PutBatchHashed(hashes []hash.Hash, items [][]byte) {
 	f.mu.Unlock()
 	putEvery := f.cfg.Load().PutFailEvery
 	if putEvery <= 0 && crashAt < 0 {
-		store.PutBatchHashed(f.base, hashes, items)
+		f.Wrapper.PutBatchHashed(hashes, items)
 		return
 	}
 	for i, data := range items {
@@ -367,7 +357,7 @@ func (f *FaultStore) PutBatchHashed(hashes []hash.Hash, items [][]byte) {
 			f.ctr.put.Add(1)
 			continue
 		}
-		f.base.Put(data)
+		f.Wrapper.Put(data)
 	}
 }
 
@@ -382,7 +372,7 @@ func (f *FaultStore) Delete(h hash.Hash) (bool, error) {
 		return false, fmt.Errorf("delete: %w", ErrInjected)
 	}
 	f.hit(CrashDelete)
-	return store.Delete(f.base, h)
+	return f.Wrapper.Delete(h)
 }
 
 // Sweep implements store.Sweeper. A scheduled fault fails before the
@@ -398,7 +388,7 @@ func (f *FaultStore) Sweep(live store.LiveFunc) (store.SweepStats, error) {
 		return store.SweepStats{}, fmt.Errorf("sweep: %w", ErrInjected)
 	}
 	f.hit(CrashSweep)
-	return store.Sweep(f.base, live)
+	return f.Wrapper.Sweep(live)
 }
 
 // SetMeta implements store.MetaStore.
@@ -412,7 +402,7 @@ func (f *FaultStore) SetMeta(key string, value []byte) error {
 		return fmt.Errorf("setmeta: %w", ErrInjected)
 	}
 	f.hit(CrashSetMeta)
-	return store.SetMeta(f.base, key, value)
+	return f.Wrapper.SetMeta(key, value)
 }
 
 // GetMeta implements store.MetaStore.
@@ -422,15 +412,8 @@ func (f *FaultStore) GetMeta(key string) ([]byte, bool, error) {
 		f.ctr.meta.Add(1)
 		return nil, false, fmt.Errorf("getmeta: %w", ErrInjected)
 	}
-	return store.GetMeta(f.base, key)
+	return f.Wrapper.GetMeta(key)
 }
-
-// ArmBarrier implements store.BarrierStore by forwarding unconditionally
-// (see the package comment on why barriers are never faulted).
-func (f *FaultStore) ArmBarrier() (*store.Barrier, error) { return store.ArmBarrier(f.base) }
-
-// DisarmBarrier implements store.BarrierStore by forwarding.
-func (f *FaultStore) DisarmBarrier() { store.DisarmBarrier(f.base) }
 
 // Flush implements store.Flusher.
 func (f *FaultStore) Flush() error {
@@ -441,27 +424,7 @@ func (f *FaultStore) Flush() error {
 		f.ctr.flush.Add(1)
 		return fmt.Errorf("flush: %w", ErrInjected)
 	}
-	return store.Flush(f.base)
-}
-
-// DiskUsage reports the wrapped store's on-disk footprint when it has one
-// (store.DiskUsageOf unwraps through this method), so retention and fault
-// experiments can measure disk behind the injector.
-func (f *FaultStore) DiskUsage() (int64, error) {
-	if n, ok := store.DiskUsageOf(f.base); ok {
-		return n, nil
-	}
-	return 0, fmt.Errorf("faultstore: wrapped %T has no disk usage", f.base)
-}
-
-// Close closes the wrapped store when it is closeable; repeated calls
-// forward repeatedly, relying on the wrapped store's own close-idempotence
-// (which the conformance suite checks).
-func (f *FaultStore) Close() error {
-	if c, ok := f.base.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
+	return f.Wrapper.Flush()
 }
 
 // Compile-time checks: the wrapper carries the full capability surface.

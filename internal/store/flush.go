@@ -3,7 +3,7 @@ package store
 // Flusher is an optional capability: push buffered writes down to the
 // operating system. Only DiskStore actually buffers (appends sit in a
 // bufio.Writer until FlushBytes accumulate), so only it has a non-trivial
-// implementation; CachedStore delegates to its backing. Flush does NOT
+// implementation; every Wrapper forwards to the store it wraps. Flush does NOT
 // fsync — it moves bytes from process memory into the OS page cache, which
 // is the boundary that matters for process-crash consistency: after a
 // successful Flush, a crash of this process (panic, kill -9) cannot lose
@@ -18,7 +18,7 @@ type Flusher interface {
 }
 
 // Flush pushes s's buffered writes to the OS through its Flusher
-// capability; stores without one (the in-memory backends) have nothing
+// capability; stores without one (MemStore) have nothing
 // buffered and report nil.
 func Flush(s Store) error {
 	if f, ok := s.(Flusher); ok {
@@ -45,6 +45,3 @@ func (d *DiskStore) Flush() error {
 	}
 	return d.flushLocked()
 }
-
-// Flush implements Flusher by delegating to the backing store.
-func (c *CachedStore) Flush() error { return Flush(c.backing) }

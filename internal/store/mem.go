@@ -3,26 +3,24 @@ package store
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hash"
 )
 
-// DefaultShards is the shard count NewShardedStore uses when asked for zero
-// or fewer shards. 64 keeps per-shard contention negligible on typical
-// machines while the per-shard overhead (a mutex and an empty map) stays
-// trivial.
+// DefaultShards is the shard count of NewMemStore, and of NewShardedStore
+// when asked for zero or fewer shards. 64 keeps per-shard contention
+// negligible on typical machines while the per-shard overhead (a mutex and
+// an empty map) stays trivial.
 const DefaultShards = 64
 
-// ShardedStore is an in-memory Store partitioned into N independently
+// MemStore is the in-memory Store, partitioned into N independently
 // locked shards. Content addressing makes sharding natural: the SHA-256 key
 // is uniformly distributed, so the leading bytes of the digest pick a shard
 // and concurrent writers touch disjoint locks almost always. Accounting
 // uses atomic counters, so Stats never serializes the data path either.
-//
-// It removes the global-mutex bottleneck MemStore exhibits when many index
-// updates run concurrently (the production-serving scenario of the ROADMAP),
-// while keeping identical Put/Get/Has/Stats semantics.
-type ShardedStore struct {
+// The zero value is not usable; call NewMemStore or NewShardedStore.
+type MemStore struct {
 	mask   uint32
 	shards []memShard
 	ctr    counters
@@ -33,15 +31,22 @@ type ShardedStore struct {
 type memShard struct {
 	mu    sync.RWMutex
 	nodes map[hash.Hash][]byte
-	// pad the 32 bytes of mutex+map up to a full 64-byte cache line so
-	// neighbouring shard locks do not false-share under heavy concurrent
-	// writes.
-	_ [32]byte
+	// gets and misses count this shard's Gets. They sit on the line the
+	// read lock already dirties, so a Get writes no line that every other
+	// reader writes too.
+	gets, misses atomic.Int64
+	// pad the 48 bytes of mutex+map+counters up to a full 64-byte cache
+	// line so neighbouring shard locks do not false-share under heavy
+	// concurrent writes.
+	_ [16]byte
 }
 
-// NewShardedStore returns an empty store with n shards, rounded up to the
-// next power of two. n <= 0 selects DefaultShards.
-func NewShardedStore(n int) *ShardedStore {
+// NewMemStore returns an empty in-memory store with DefaultShards shards.
+func NewMemStore() *MemStore { return NewShardedStore(DefaultShards) }
+
+// NewShardedStore returns an empty in-memory store with n shards, rounded
+// up to the next power of two. n <= 0 selects DefaultShards.
+func NewShardedStore(n int) *MemStore {
 	if n <= 0 {
 		n = DefaultShards
 	}
@@ -49,7 +54,7 @@ func NewShardedStore(n int) *ShardedStore {
 	for size < n {
 		size <<= 1
 	}
-	s := &ShardedStore{
+	s := &MemStore{
 		mask:   uint32(size - 1),
 		shards: make([]memShard, size),
 	}
@@ -60,22 +65,22 @@ func NewShardedStore(n int) *ShardedStore {
 }
 
 // ShardCount returns the number of shards (always a power of two).
-func (s *ShardedStore) ShardCount() int { return len(s.shards) }
+func (s *MemStore) ShardCount() int { return len(s.shards) }
 
 // shardIndex picks the shard owning h from the digest's leading bytes,
 // which SHA-256 distributes uniformly.
-func (s *ShardedStore) shardIndex(h hash.Hash) uint32 {
+func (s *MemStore) shardIndex(h hash.Hash) uint32 {
 	return binary.BigEndian.Uint32(h[:4]) & s.mask
 }
 
 // shardFor returns the shard owning h.
-func (s *ShardedStore) shardFor(h hash.Hash) *memShard {
+func (s *MemStore) shardFor(h hash.Hash) *memShard {
 	return &s.shards[s.shardIndex(h)]
 }
 
 // Put implements Store. The data is copied, so callers may reuse their
 // buffer.
-func (s *ShardedStore) Put(data []byte) hash.Hash {
+func (s *MemStore) Put(data []byte) hash.Hash {
 	h := hash.Of(data)
 	if b := s.bar.beginWrite(); b != nil {
 		b.record(h)
@@ -101,20 +106,20 @@ func (s *ShardedStore) Put(data []byte) hash.Hash {
 
 // Get implements Store. The returned slice is the resident buffer, not a
 // copy (see the Store.Get no-copy contract).
-func (s *ShardedStore) Get(h hash.Hash) ([]byte, bool) {
-	s.ctr.gets.Add(1)
+func (s *MemStore) Get(h hash.Hash) ([]byte, bool) {
 	sh := s.shardFor(h)
+	sh.gets.Add(1)
 	sh.mu.RLock()
 	data, ok := sh.nodes[h]
 	sh.mu.RUnlock()
 	if !ok {
-		s.ctr.misses.Add(1)
+		sh.misses.Add(1)
 	}
 	return data, ok
 }
 
 // Has implements Store.
-func (s *ShardedStore) Has(h hash.Hash) bool {
+func (s *MemStore) Has(h hash.Hash) bool {
 	sh := s.shardFor(h)
 	sh.mu.RLock()
 	_, ok := sh.nodes[h]
@@ -123,10 +128,17 @@ func (s *ShardedStore) Has(h hash.Hash) bool {
 }
 
 // Stats implements Store.
-func (s *ShardedStore) Stats() Stats { return s.ctr.snapshot() }
+func (s *MemStore) Stats() Stats {
+	st := s.ctr.snapshot()
+	for i := range s.shards {
+		st.Gets += s.shards[i].gets.Load()
+		st.Misses += s.shards[i].misses.Load()
+	}
+	return st
+}
 
 // Len returns the number of distinct nodes resident across all shards.
-func (s *ShardedStore) Len() int {
+func (s *MemStore) Len() int {
 	total := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -138,7 +150,7 @@ func (s *ShardedStore) Len() int {
 }
 
 // SizeOf returns the stored size of h in bytes, or 0 if absent.
-func (s *ShardedStore) SizeOf(h hash.Hash) int {
+func (s *MemStore) SizeOf(h hash.Hash) int {
 	sh := s.shardFor(h)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()

@@ -20,7 +20,7 @@ var ErrNoMeta = errors.New("store: backend does not support metadata")
 // above all. MetaStore is that escape hatch: a few small entries, updated
 // in place, never part of the node space (sweeps and compactions do not
 // touch them). DiskStore persists meta crash-safely next to its segments;
-// the in-memory backends keep a map.
+// the in-memory backend keeps a map.
 //
 // The capability is intentionally minimal — it is a root-pointer area, not
 // a second database. Values are copied on both Set and Get, so callers
@@ -53,7 +53,6 @@ func GetMeta(s Store, key string) ([]byte, bool, error) {
 // Compile-time checks: every built-in backend supports metadata.
 var (
 	_ MetaStore = (*MemStore)(nil)
-	_ MetaStore = (*ShardedStore)(nil)
 	_ MetaStore = (*DiskStore)(nil)
 	_ MetaStore = (*CachedStore)(nil)
 )
@@ -109,38 +108,15 @@ func (mm *metaMap) snapshot() map[string][]byte {
 }
 
 // SetMeta implements MetaStore.
-func (m *MemStore) SetMeta(key string, value []byte) error {
-	m.meta.set(key, value)
-	return nil
-}
-
-// GetMeta implements MetaStore.
-func (m *MemStore) GetMeta(key string) ([]byte, bool, error) {
-	v, ok := m.meta.get(key)
-	return v, ok, nil
-}
-
-// SetMeta implements MetaStore.
-func (s *ShardedStore) SetMeta(key string, value []byte) error {
+func (s *MemStore) SetMeta(key string, value []byte) error {
 	s.meta.set(key, value)
 	return nil
 }
 
 // GetMeta implements MetaStore.
-func (s *ShardedStore) GetMeta(key string) ([]byte, bool, error) {
+func (s *MemStore) GetMeta(key string) ([]byte, bool, error) {
 	v, ok := s.meta.get(key)
 	return v, ok, nil
-}
-
-// SetMeta implements MetaStore, delegating to the backing store so a cache
-// layer is transparent to branch-head persistence.
-func (c *CachedStore) SetMeta(key string, value []byte) error {
-	return SetMeta(c.backing, key, value)
-}
-
-// GetMeta implements MetaStore, delegating to the backing store.
-func (c *CachedStore) GetMeta(key string) ([]byte, bool, error) {
-	return GetMeta(c.backing, key)
 }
 
 // metaFileName is the DiskStore metadata file, living beside the segment

@@ -31,77 +31,26 @@ func NodeReads(s Store) (int64, bool) {
 // instrumentation layer the honesty assertions wrap any backend in.
 // Counting only Get keeps the accounting aligned with what the paper's
 // node-access analysis measures: one fetch per node visit on a cold path.
+// Has is not counted: existence probes do not transfer node payloads.
 //
-// Every optional capability of the inner store (batch puts, sweep,
-// metadata, flush, write barrier) is forwarded through the package's
-// helper functions, so wrapping does not strip a backend of behavior the
-// version/GC layers probe for — a CountingStore over a DiskStore still
-// persists branch heads and still runs concurrent GC.
+// Everything but Get comes from the embedded Wrapper, so a CountingStore
+// keeps every capability of the inner store — over a DiskStore it still
+// persists branch heads, runs concurrent GC and reports DiskUsage.
 type CountingStore struct {
-	inner Store
+	Wrapper
 	reads atomic.Int64
 }
 
 // NewCountingStore wraps inner in a read counter starting at zero.
 func NewCountingStore(inner Store) *CountingStore {
-	return &CountingStore{inner: inner}
+	return &CountingStore{Wrapper: NewWrapper(inner)}
 }
 
 // NodeReads returns the number of Get calls served since construction.
 func (c *CountingStore) NodeReads() int64 { return c.reads.Load() }
-
-// Unwrap returns the wrapped store.
-func (c *CountingStore) Unwrap() Store { return c.inner }
 
 // Get counts the fetch and forwards it.
 func (c *CountingStore) Get(h hash.Hash) ([]byte, bool) {
 	c.reads.Add(1)
 	return c.inner.Get(h)
 }
-
-// Put forwards to the inner store.
-func (c *CountingStore) Put(data []byte) hash.Hash { return c.inner.Put(data) }
-
-// Has forwards to the inner store without counting: existence probes do
-// not transfer node payloads.
-func (c *CountingStore) Has(h hash.Hash) bool { return c.inner.Has(h) }
-
-// Stats forwards the inner store's accounting.
-func (c *CountingStore) Stats() Stats { return c.inner.Stats() }
-
-// PutBatch forwards through the batch helper, keeping the inner store's
-// fast path when it has one.
-func (c *CountingStore) PutBatch(items [][]byte) []hash.Hash {
-	return PutBatch(c.inner, items)
-}
-
-// PutBatchHashed forwards through the batch helper.
-func (c *CountingStore) PutBatchHashed(hashes []hash.Hash, items [][]byte) {
-	PutBatchHashed(c.inner, hashes, items)
-}
-
-// Delete forwards through the sweep helper (ErrNoSweeper when the inner
-// store lacks the capability).
-func (c *CountingStore) Delete(h hash.Hash) (bool, error) { return Delete(c.inner, h) }
-
-// Sweep forwards through the sweep helper.
-func (c *CountingStore) Sweep(live LiveFunc) (SweepStats, error) { return Sweep(c.inner, live) }
-
-// SetMeta forwards through the metadata helper.
-func (c *CountingStore) SetMeta(key string, value []byte) error { return SetMeta(c.inner, key, value) }
-
-// GetMeta forwards through the metadata helper.
-func (c *CountingStore) GetMeta(key string) ([]byte, bool, error) { return GetMeta(c.inner, key) }
-
-// Flush forwards through the flush helper.
-func (c *CountingStore) Flush() error { return Flush(c.inner) }
-
-// ArmBarrier forwards the write-barrier capability.
-func (c *CountingStore) ArmBarrier() (*Barrier, error) { return ArmBarrier(c.inner) }
-
-// DisarmBarrier forwards the write-barrier capability.
-func (c *CountingStore) DisarmBarrier() { DisarmBarrier(c.inner) }
-
-// Close releases the inner store, so store.Release on the wrapper reaches
-// a disk backend's file handles.
-func (c *CountingStore) Close() error { return Release(c.inner) }

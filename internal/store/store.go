@@ -9,24 +9,26 @@
 // deduplicated footprint (unique bytes) and the raw footprint (all bytes
 // ever written, as if every version were stored separately).
 //
-// Four backends share the Store contract (verified by the conformance
-// suite in the storetest subpackage):
+// Two backends and one cache layer share the Store contract (verified by
+// the conformance suite in the storetest subpackage):
 //
-//	MemStore      single-lock in-memory map; the simple baseline
-//	ShardedStore  N-way sharded in-memory map, per-shard locks and atomic
-//	              stats, for concurrent index updates at scale
+//	MemStore      in-memory map split into lock-striped shards with atomic
+//	              stats, so concurrent index updates touch disjoint locks
 //	DiskStore     append-only segment files with an in-memory directory,
 //	              crash-safe via a rebuild-on-open scan
-//	CachedStore   bounded LRU layered over any of the above
+//	CachedStore   bounded LRU layered over either of the above
 //
-// Open selects a backend by name ("mem", "sharded", "disk") plus an
-// optional cache layer; cmd/siribench threads the same selection through
-// every experiment via its -store flag.
+// Wrappers (CachedStore, CountingStore, faultstore.FaultStore) embed
+// Wrapper, which forwards every optional capability to the wrapped store,
+// and override only the methods they change.
+//
+// Open selects a backend by name ("mem", "disk") plus an optional cache
+// layer; cmd/siribench threads the same selection through every
+// experiment via its -store flag.
 package store
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/hash"
 )
@@ -41,14 +43,14 @@ type Store interface {
 	// be modified by the caller.
 	//
 	// No-copy contract: backends serve Get without copying whenever the
-	// stored bytes are immutable for the store's lifetime — MemStore,
-	// ShardedStore and CachedStore all return the resident buffer
-	// directly (DiskStore reads flushed records into a fresh buffer by
-	// necessity). Nodes are content-addressed and never rewritten, so the
-	// returned bytes stay valid until the node is reclaimed by a sweep;
-	// the decoded-node caches in the index packages rely on this to alias
-	// key and value slices straight into the stored encoding instead of
-	// copying per decode (see the internal/codec aliasing rules). The GC
+	// stored bytes are immutable for the store's lifetime — MemStore and
+	// CachedStore return the resident buffer directly (DiskStore reads
+	// flushed records into a fresh buffer by necessity). Nodes are
+	// content-addressed and never rewritten, so the returned bytes stay
+	// valid until the node is reclaimed by a sweep; the decoded-node
+	// caches in the index packages rely on this to alias key and value
+	// slices straight into the stored encoding instead of copying per
+	// decode (see the internal/codec aliasing rules). The GC
 	// purge hooks (version.Repo.OnGC) exist to drop those aliases when a
 	// sweep reclaims nodes.
 	Get(h hash.Hash) ([]byte, bool)
@@ -75,86 +77,4 @@ type Stats struct {
 func (s Stats) String() string {
 	return fmt.Sprintf("unique=%d nodes/%d B raw=%d nodes/%d B dedupHits=%d gets=%d misses=%d",
 		s.UniqueNodes, s.UniqueBytes, s.RawNodes, s.RawBytes, s.DedupHits, s.Gets, s.Misses)
-}
-
-// MemStore is an in-memory Store. The zero value is not usable; call
-// NewMemStore.
-type MemStore struct {
-	mu    sync.RWMutex
-	nodes map[hash.Hash][]byte
-	stats Stats
-	meta  metaMap
-	bar   barrierHolder
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{nodes: make(map[hash.Hash][]byte)}
-}
-
-// Put implements Store. The data is copied, so callers may reuse their
-// buffer.
-func (m *MemStore) Put(data []byte) hash.Hash {
-	h := hash.Of(data)
-	if b := m.bar.beginWrite(); b != nil {
-		b.record(h)
-	}
-	defer m.bar.endWrite()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats.RawNodes++
-	m.stats.RawBytes += int64(len(data))
-	if _, ok := m.nodes[h]; ok {
-		m.stats.DedupHits++
-		return h
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.nodes[h] = cp
-	m.stats.UniqueNodes++
-	m.stats.UniqueBytes += int64(len(data))
-	return h
-}
-
-// Get implements Store. The returned slice is the resident buffer, not a
-// copy (see the Store.Get no-copy contract).
-func (m *MemStore) Get(h hash.Hash) ([]byte, bool) {
-	m.mu.Lock()
-	m.stats.Gets++
-	data, ok := m.nodes[h]
-	if !ok {
-		m.stats.Misses++
-	}
-	m.mu.Unlock()
-	return data, ok
-}
-
-// Has implements Store.
-func (m *MemStore) Has(h hash.Hash) bool {
-	m.mu.RLock()
-	_, ok := m.nodes[h]
-	m.mu.RUnlock()
-	return ok
-}
-
-// Stats implements Store.
-func (m *MemStore) Stats() Stats {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.stats
-}
-
-// Len returns the number of distinct nodes resident.
-func (m *MemStore) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.nodes)
-}
-
-// SizeOf returns the stored size of h in bytes, or 0 if absent. Used by the
-// deduplication-ratio metric, which needs per-node byte sizes.
-func (m *MemStore) SizeOf(h hash.Hash) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.nodes[h])
 }

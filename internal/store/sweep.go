@@ -17,15 +17,16 @@ var ErrNoSweeper = errors.New("store: backend does not support delete/sweep")
 // reserved for the garbage collector in internal/version, which computes
 // reachability first.
 //
-// All four built-in backends implement Deleter. For the in-memory backends a
-// delete frees the node immediately; for DiskStore it is logical — the node
-// becomes unreadable and its bytes are reclaimed by the next Sweep
-// compaction (until then, a crash or reopen resurrects the record from the
-// segment scan, which is harmless garbage, not a correctness issue).
+// Both built-in backends implement Deleter, and every Wrapper forwards it.
+// For MemStore a delete frees the node immediately; for DiskStore it is
+// logical — the node becomes unreadable and its bytes are reclaimed by the
+// next Sweep compaction (until then, a crash or reopen resurrects the
+// record from the segment scan, which is harmless garbage, not a
+// correctness issue).
 type Deleter interface {
 	// Delete removes the node stored under h, returning whether it was
-	// present. Deleting an absent node is a no-op. Wrapping stores
-	// (CachedStore) return ErrNoSweeper when their backing cannot delete.
+	// present. Deleting an absent node is a no-op. Wrappers return
+	// ErrNoSweeper when the store they wrap cannot delete.
 	Delete(h hash.Hash) (bool, error)
 }
 
@@ -65,7 +66,7 @@ type SweepStats struct {
 	SweptNodes int64 // nodes reclaimed
 	SweptBytes int64 // bytes of reclaimed nodes
 	// SegmentsCompacted counts segment files rewritten by DiskStore; zero
-	// for the in-memory backends.
+	// for MemStore.
 	SegmentsCompacted int
 }
 
@@ -93,88 +94,18 @@ func Sweep(s Store, live LiveFunc) (SweepStats, error) {
 	return SweepStats{}, fmt.Errorf("%w: %T", ErrNoSweeper, s)
 }
 
-// Compile-time checks: every built-in backend supports reclamation.
+// Compile-time checks: every built-in store supports reclamation.
 var (
 	_ Deleter = (*MemStore)(nil)
-	_ Deleter = (*ShardedStore)(nil)
 	_ Deleter = (*DiskStore)(nil)
 	_ Deleter = (*CachedStore)(nil)
 	_ Sweeper = (*MemStore)(nil)
-	_ Sweeper = (*ShardedStore)(nil)
 	_ Sweeper = (*DiskStore)(nil)
 	_ Sweeper = (*CachedStore)(nil)
 )
 
-// Delete implements Deleter: the node is removed from the map and the
-// unique-footprint counters shrink accordingly (raw counters keep their
-// history).
-func (m *MemStore) Delete(h hash.Hash) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.nodes[h]
-	if !ok {
-		return false, nil
-	}
-	delete(m.nodes, h)
-	m.stats.UniqueNodes--
-	m.stats.UniqueBytes -= int64(len(data))
-	return true, nil
-}
-
-// memSweepChunk bounds how many deletions one write-lock acquisition of a
-// MemStore sweep performs, so concurrent reads and writes interleave with
-// the sweep instead of stalling for the whole pass.
-const memSweepChunk = 1024
-
-// Sweep implements Sweeper in two phases to keep pauses short: the doomed
-// set is collected under the read lock (concurrent Get/Has proceed), then
-// deleted in chunks under short write-lock acquisitions. Each doomed node
-// is re-checked against the (barrier-extended) predicate at delete time,
-// so content re-put between the phases survives.
-func (m *MemStore) Sweep(live LiveFunc) (SweepStats, error) {
-	live = m.bar.wrap(live)
-	var st SweepStats
-	m.mu.RLock()
-	doomed := make([]hash.Hash, 0, 64)
-	for h, data := range m.nodes {
-		if live(h) {
-			st.LiveNodes++
-			st.LiveBytes += int64(len(data))
-			continue
-		}
-		doomed = append(doomed, h)
-	}
-	m.mu.RUnlock()
-	for start := 0; start < len(doomed); start += memSweepChunk {
-		end := start + memSweepChunk
-		if end > len(doomed) {
-			end = len(doomed)
-		}
-		var nodes, bytes int64
-		m.mu.Lock()
-		for _, h := range doomed[start:end] {
-			if live(h) {
-				continue // re-put since the scan: the barrier marked it live
-			}
-			data, ok := m.nodes[h]
-			if !ok {
-				continue
-			}
-			delete(m.nodes, h)
-			nodes++
-			bytes += int64(len(data))
-		}
-		m.stats.UniqueNodes -= nodes
-		m.stats.UniqueBytes -= bytes
-		m.mu.Unlock()
-		st.SweptNodes += nodes
-		st.SweptBytes += bytes
-	}
-	return st, nil
-}
-
 // Delete implements Deleter on the owning shard.
-func (s *ShardedStore) Delete(h hash.Hash) (bool, error) {
+func (s *MemStore) Delete(h hash.Hash) (bool, error) {
 	sh := s.shardFor(h)
 	sh.mu.Lock()
 	data, ok := sh.nodes[h]
@@ -194,7 +125,7 @@ func (s *ShardedStore) Delete(h hash.Hash) (bool, error) {
 // its own pass, so concurrent readers and writers of other shards proceed.
 // The armed barrier, if any, extends the live predicate so writes landing
 // during the pass survive it.
-func (s *ShardedStore) Sweep(live LiveFunc) (SweepStats, error) {
+func (s *MemStore) Sweep(live LiveFunc) (SweepStats, error) {
 	live = s.bar.wrap(live)
 	var st SweepStats
 	for i := range s.shards {
@@ -220,35 +151,20 @@ func (s *ShardedStore) Sweep(live LiveFunc) (SweepStats, error) {
 // Delete implements Deleter: the entry is evicted locally and the delete is
 // forwarded to the backing store.
 func (c *CachedStore) Delete(h hash.Hash) (bool, error) {
-	d, ok := c.backing.(Deleter)
-	if !ok {
-		return false, fmt.Errorf("%w: backing %T", ErrNoSweeper, c.backing)
-	}
 	c.mu.Lock()
 	c.evict(h)
 	c.mu.Unlock()
-	return d.Delete(h)
+	return c.Wrapper.Delete(h)
 }
 
 // Sweep implements Sweeper: the backing store sweeps, then dead entries are
-// evicted from the LRU so the cache can never resurrect a reclaimed node.
+// purged from the LRU so the cache can never resurrect a reclaimed node.
 func (c *CachedStore) Sweep(live LiveFunc) (SweepStats, error) {
-	sw, ok := c.backing.(Sweeper)
-	if !ok {
-		return SweepStats{}, fmt.Errorf("%w: backing %T", ErrNoSweeper, c.backing)
+	st, err := c.Wrapper.Sweep(live)
+	if err == nil {
+		c.Purge(live)
 	}
-	st, err := sw.Sweep(live)
-	if err != nil {
-		return st, err
-	}
-	c.mu.Lock()
-	for h := range c.entries {
-		if !live(h) {
-			c.evict(h)
-		}
-	}
-	c.mu.Unlock()
-	return st, nil
+	return st, err
 }
 
 // evict removes h from the LRU if present. Caller holds c.mu.

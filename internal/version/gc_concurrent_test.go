@@ -65,9 +65,9 @@ func (f *faultSweeper) Sweep(live store.LiveFunc) (store.SweepStats, error) {
 		return f.MemStore.Sweep(live)
 	}
 	f.failures--
-	// Admit only the first `partial` distinct dead hashes for sweeping, and
-	// answer consistently on re-checks: MemStore's two-phase sweep consults
-	// the predicate again before each delete.
+	// Admit only the first `partial` distinct dead hashes for sweeping.
+	// Answering from the admitted set keeps the predicate consistent per
+	// hash however often a sweep consults it.
 	admitted := make(map[hash.Hash]bool)
 	st, err := f.MemStore.Sweep(func(h hash.Hash) bool {
 		if live(h) {
