@@ -6,10 +6,7 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/ingest"
-	"repro/internal/postree"
-	"repro/internal/store"
 	"repro/internal/version"
 )
 
@@ -46,9 +43,7 @@ func runIngestVerb(w io.Writer, sc bench.Scale) error {
 	}
 	opts := ingest.Options{
 		Dir: dir, Branch: "main",
-		New: func(s store.Store) (core.Index, error) {
-			return postree.New(s, postree.ConfigForNodeSize(sc.NodeSize)), nil
-		},
+		New:       bench.Classes(sc)[0].New, // POS-Tree
 		AutoMerge: true, MaxEntries: mergeEvery,
 	}
 	bu, err := ingest.Open(repo, opts)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/postree"
 	"repro/internal/store"
 	"repro/internal/version"
 	"repro/internal/workload"
@@ -37,7 +36,10 @@ func runVersionVerb(w io.Writer, sc bench.Scale, verb string) error {
 	// Build the demo history: an initial load plus K−1 update batches,
 	// one commit per version.
 	y := workload.NewYCSB(workload.YCSBConfig{Records: sc.YCSBCounts[0], Seed: 17})
-	var idx core.Index = postree.New(s, postree.ConfigForNodeSize(sc.NodeSize))
+	idx, err := bench.Classes(sc)[0].New(s) // POS-Tree
+	if err != nil {
+		return err
+	}
 	idx, err = bench.LoadBatched(idx, y.Dataset(), sc.Batch)
 	if err != nil {
 		return err

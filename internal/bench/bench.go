@@ -15,11 +15,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hash"
 	"repro/internal/mbt"
 	"repro/internal/mpt"
 	"repro/internal/mvmbt"
 	"repro/internal/postree"
+	"repro/internal/prolly"
 	"repro/internal/store"
+	"repro/internal/version"
 	"repro/internal/workload"
 )
 
@@ -314,11 +317,17 @@ func ScaleByName(name string) (Scale, error) {
 	return Scale{}, fmt.Errorf("bench: unknown scale %q (want tiny, small, medium or full)", name)
 }
 
-// Candidate describes one index class under test.
-type Candidate struct {
+// Class is one index class under test, configured for one scale.
+type Class struct {
+	// Name labels the class in tables. For the entries of Classes it is
+	// also the index's core.Index.Name, under which RegisterLoaders
+	// registers Load.
 	Name string
-	// New returns an empty index over a fresh store.
-	New func() (core.Index, error)
+	// New returns an empty index over s.
+	New func(s store.Store) (core.Index, error)
+	// Load reopens a committed version of the class: the checkout loader a
+	// version.Repo needs, and (through servedLoader) a forkbase client's.
+	Load version.Loader
 	// PerOpWrites applies write workloads one operation at a time, the
 	// way the paper's implementations of MPT, MBT and the baseline work;
 	// §5.2 applies batching — "taking advantage of the bottom-up build
@@ -326,54 +335,89 @@ type Candidate struct {
 	PerOpWrites bool
 }
 
-// CandidateSet returns the paper's four candidates — POS-Tree, MBT, MPT and
-// the MVMB+-Tree baseline — tuned to the scale's node size.
-func CandidateSet(sc Scale) []Candidate {
-	return []Candidate{
-		{
-			Name: "POS-Tree",
-			New: func() (core.Index, error) {
-				s, err := sc.NewStore()
-				if err != nil {
-					return nil, err
-				}
-				return postree.New(s, postree.ConfigForNodeSize(sc.NodeSize)), nil
-			},
-		},
+// Classes is the one place the harness configures an index class: the
+// paper's four candidates — POS-Tree, MBT, MPT and the MVMB+-Tree baseline —
+// tuned to the scale's node size, then Noms' Prolly Tree. Every experiment,
+// loader registration and CLI verb builds its classes from this table.
+func Classes(sc Scale) []Class {
+	posCfg := postree.ConfigForNodeSize(sc.NodeSize)
+	mbtCfg := mbt.Config{Capacity: sc.MBTBuckets, Fanout: 32}
+	mvCfg := mvmbt.ConfigForNodeSize(sc.NodeSize)
+	proCfg := prolly.ConfigForNodeSize(sc.NodeSize)
+	return []Class{
+		posTreeClass("POS-Tree", posCfg),
 		{
 			Name: "MBT",
-			New: func() (core.Index, error) {
-				s, err := sc.NewStore()
-				if err != nil {
-					return nil, err
-				}
-				return mbt.New(s, mbt.Config{Capacity: sc.MBTBuckets, Fanout: 32})
+			New:  func(s store.Store) (core.Index, error) { return mbt.New(s, mbtCfg) },
+			Load: func(s store.Store, root hash.Hash, _ int) (core.Index, error) {
+				return mbt.Load(s, mbtCfg, root)
 			},
 			PerOpWrites: true,
 		},
 		{
 			Name: "MPT",
-			New: func() (core.Index, error) {
-				s, err := sc.NewStore()
-				if err != nil {
-					return nil, err
-				}
-				return mpt.New(s), nil
+			New:  func(s store.Store) (core.Index, error) { return mpt.New(s), nil },
+			Load: func(s store.Store, root hash.Hash, _ int) (core.Index, error) {
+				return mpt.Load(s, root), nil
 			},
 			PerOpWrites: true,
 		},
 		{
 			Name: "MVMB+-Tree",
-			New: func() (core.Index, error) {
-				s, err := sc.NewStore()
-				if err != nil {
-					return nil, err
-				}
-				return mvmbt.New(s, mvmbt.ConfigForNodeSize(sc.NodeSize)), nil
+			New:  func(s store.Store) (core.Index, error) { return mvmbt.New(s, mvCfg), nil },
+			Load: func(s store.Store, root hash.Hash, height int) (core.Index, error) {
+				return mvmbt.Load(s, mvCfg, root, height), nil
 			},
 			PerOpWrites: true,
 		},
+		prollyClass("Prolly-Tree", proCfg),
 	}
+}
+
+// posTreeClass and prollyClass build the two content-defined-chunking
+// classes under a display name, for experiments that vary their config.
+func posTreeClass(name string, cfg postree.Config) Class {
+	return Class{
+		Name: name,
+		New:  func(s store.Store) (core.Index, error) { return postree.New(s, cfg), nil },
+		Load: func(s store.Store, root hash.Hash, height int) (core.Index, error) {
+			return postree.Load(s, cfg, root, height), nil
+		},
+	}
+}
+
+func prollyClass(name string, cfg postree.Config) Class {
+	return Class{
+		Name: name,
+		New:  func(s store.Store) (core.Index, error) { return prolly.New(s, cfg), nil },
+		Load: func(s store.Store, root hash.Hash, height int) (core.Index, error) {
+			return prolly.Load(s, cfg, root, height), nil
+		},
+	}
+}
+
+// CandidateSet returns the paper's four candidates: the first four Classes.
+func CandidateSet(sc Scale) []Class {
+	return Classes(sc)[:4]
+}
+
+// classNames returns the table column headers for classes.
+func classNames(classes []Class) []string {
+	out := make([]string, len(classes))
+	for i, c := range classes {
+		out[i] = c.Name
+	}
+	return out
+}
+
+// newIndex builds an empty index of class c over a fresh store from the
+// scale's backend selection.
+func newIndex(sc Scale, c Class) (core.Index, error) {
+	s, err := sc.NewStore()
+	if err != nil {
+		return nil, err
+	}
+	return c.New(s)
 }
 
 // LoadBatched applies entries to idx in batches, returning the final
@@ -402,9 +446,6 @@ func LoadBatched(idx core.Index, entries []core.Entry, batch int) (core.Index, e
 // (or less) applies writes per operation, the paper's mode for the
 // non-batching candidates.
 func Throughput(idx core.Index, ops []workloadOp, batch int) (float64, core.Index, error) {
-	if batch <= 1 {
-		return throughputPerOp(idx, ops)
-	}
 	start := time.Now()
 	var writeBuf []core.Entry
 	flush := func() error {
@@ -420,7 +461,7 @@ func Throughput(idx core.Index, ops []workloadOp, batch int) (float64, core.Inde
 		return nil
 	}
 	for _, op := range ops {
-		if op.Write {
+		if op.Write && batch > 1 {
 			writeBuf = append(writeBuf, op.Entry)
 			if len(writeBuf) >= batch {
 				if err := flush(); err != nil {
@@ -429,49 +470,32 @@ func Throughput(idx core.Index, ops []workloadOp, batch int) (float64, core.Inde
 			}
 			continue
 		}
-		if op.Scan {
-			// Like point Gets in this batched mode, scans read the current
-			// committed version; buffered writes stay buffered so batching
-			// candidates keep their batch advantage under scan-heavy mixes.
-			if err := RunScan(idx, op); err != nil {
-				return 0, nil, err
-			}
-			continue
-		}
-		if _, _, err := idx.Get(op.Entry.Key); err != nil {
+		// Like point Gets in this batched mode, scans read the current
+		// committed version; buffered writes stay buffered so batching
+		// candidates keep their batch advantage under scan-heavy mixes.
+		var err error
+		if idx, err = applyOp(idx, op); err != nil {
 			return 0, nil, err
 		}
 	}
 	if err := flush(); err != nil {
 		return 0, nil, err
 	}
-	elapsed := time.Since(start)
-	return float64(len(ops)) / elapsed.Seconds(), idx, nil
+	return float64(len(ops)) / time.Since(start).Seconds(), idx, nil
 }
 
-// throughputPerOp applies every operation individually.
-func throughputPerOp(idx core.Index, ops []workloadOp) (float64, core.Index, error) {
-	start := time.Now()
-	for _, op := range ops {
-		if op.Write {
-			next, err := idx.Put(op.Entry.Key, op.Entry.Value)
-			if err != nil {
-				return 0, nil, err
-			}
-			idx = next
-			continue
-		}
-		if op.Scan {
-			if err := RunScan(idx, op); err != nil {
-				return 0, nil, err
-			}
-			continue
-		}
-		if _, _, err := idx.Get(op.Entry.Key); err != nil {
-			return 0, nil, err
-		}
+// applyOp applies one workload op — a Put, a scan or a Get — and returns
+// the version after it.
+func applyOp(idx core.Index, op workloadOp) (core.Index, error) {
+	switch {
+	case op.Write:
+		return idx.Put(op.Entry.Key, op.Entry.Value)
+	case op.Scan:
+		return idx, RunScan(idx, op)
+	default:
+		_, _, err := idx.Get(op.Entry.Key)
+		return idx, err
 	}
-	return float64(len(ops)) / time.Since(start).Seconds(), idx, nil
 }
 
 // RunScan executes one workload scan op: an ordered walk from the op's
@@ -492,7 +516,7 @@ func RunScan(idx core.Index, op workloadOp) error {
 // WriteBatchFor returns the batch size a candidate uses for write
 // workloads: the configured batch for batching candidates, 1 for per-op
 // candidates.
-func WriteBatchFor(c Candidate, batch int) int {
+func WriteBatchFor(c Class, batch int) int {
 	if c.PerOpWrites {
 		return 1
 	}
@@ -508,21 +532,9 @@ func Latencies(idx core.Index, ops []workloadOp) ([]time.Duration, core.Index, e
 	out := make([]time.Duration, 0, len(ops))
 	for _, op := range ops {
 		start := time.Now()
-		switch {
-		case op.Write:
-			next, err := idx.Put(op.Entry.Key, op.Entry.Value)
-			if err != nil {
-				return nil, nil, err
-			}
-			idx = next
-		case op.Scan:
-			if err := RunScan(idx, op); err != nil {
-				return nil, nil, err
-			}
-		default:
-			if _, _, err := idx.Get(op.Entry.Key); err != nil {
-				return nil, nil, err
-			}
+		var err error
+		if idx, err = applyOp(idx, op); err != nil {
+			return nil, nil, err
 		}
 		out = append(out, time.Since(start))
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/prolly"
 )
 
 // commitPathReps is how many times each throughput cell is measured; the
@@ -36,11 +35,8 @@ func CommitPath(sc Scale) ([]*Table, error) {
 		}
 	}
 
-	candidates := commitPathCandidates(sc)
-	names := make([]string, len(candidates))
-	for i, c := range candidates {
-		names[i] = c.Name
-	}
+	candidates := Classes(sc)
+	names := classNames(candidates)
 
 	workerCounts := []int{1, 2, 4, 8}
 	if g := runtime.GOMAXPROCS(0); g > 8 {
@@ -60,7 +56,7 @@ func CommitPath(sc Scale) ([]*Table, error) {
 		for ci, cand := range candidates {
 			best := time.Duration(0)
 			for rep := 0; rep < commitPathReps; rep++ {
-				idx, err := cand.New()
+				idx, err := newIndex(sc, cand)
 				if err != nil {
 					core.SetCommitWorkers(prev)
 					return nil, err
@@ -91,7 +87,7 @@ func CommitPath(sc Scale) ([]*Table, error) {
 	}
 	cells := make([]string, len(candidates))
 	for ci, cand := range candidates {
-		idx, err := cand.New()
+		idx, err := newIndex(sc, cand)
 		if err != nil {
 			return nil, err
 		}
@@ -117,21 +113,4 @@ func CommitPath(sc Scale) ([]*Table, error) {
 	allocs.AddRow("allocs/op", cells...)
 
 	return []*Table{tput, allocs}, nil
-}
-
-// commitPathCandidates is the paper's four candidates plus the Prolly Tree,
-// so the worker sweep covers every commit strategy in the repository.
-func commitPathCandidates(sc Scale) []Candidate {
-	cands := CandidateSet(sc)
-	cands = append(cands, Candidate{
-		Name: "Prolly-Tree",
-		New: func() (core.Index, error) {
-			s, err := sc.NewStore()
-			if err != nil {
-				return nil, err
-			}
-			return prolly.New(s, prolly.ConfigForNodeSize(sc.NodeSize)), nil
-		},
-	})
-	return cands
 }

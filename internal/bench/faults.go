@@ -9,8 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/postree"
 	"repro/internal/store"
 	"repro/internal/store/faultstore"
 	"repro/internal/version"
@@ -179,12 +177,15 @@ func faultsVerifyTable(sc Scale) (*Table, error) {
 // faultsVerifyPhase runs one configuration: reads through a loaded view and
 // update commits through a Repo, both over the wrapped store.
 func faultsVerifyPhase(sc Scale, records, reads, commits int, verify bool) (readLat, commitLat []time.Duration, err error) {
-	cfg := postree.ConfigForNodeSize(sc.NodeSize)
+	pos := Classes(sc)[0] // POS-Tree
 	base := store.NewMemStore()
 	fs := faultstore.Wrap(base, faultstore.Config{VerifyReads: verify})
 
 	y := workload.NewYCSB(workload.YCSBConfig{Records: records, Seed: 17})
-	var idx core.Index = postree.New(fs, cfg)
+	idx, err := pos.New(fs)
+	if err != nil {
+		return nil, nil, err
+	}
 	idx, err = LoadBatched(idx, y.Dataset(), sc.Batch)
 	if err != nil {
 		return nil, nil, err
@@ -193,7 +194,10 @@ func faultsVerifyPhase(sc Scale, records, reads, commits int, verify bool) (read
 	if h, ok := idx.(interface{ Height() int }); ok {
 		height = h.Height()
 	}
-	view := postree.Load(fs, cfg, idx.RootHash(), height)
+	view, err := pos.Load(fs, idx.RootHash(), height)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	rng := rand.New(rand.NewSource(23))
 	readLat = make([]time.Duration, 0, reads)

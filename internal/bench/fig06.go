@@ -22,7 +22,7 @@ func Fig06(sc Scale) ([]*Table, error) {
 				ID:      fmt.Sprintf("Figure 6(%c)", sub),
 				Title:   fmt.Sprintf("YCSB throughput (Kops/s), θ=%.1f, write ratio=%.1f", theta, wr),
 				XLabel:  "#Records",
-				Columns: candidateNames(cands),
+				Columns: classNames(cands),
 			}
 			sub++
 			for _, n := range sc.YCSBCounts {
@@ -44,11 +44,11 @@ func Fig06(sc Scale) ([]*Table, error) {
 
 // fig06Cell loads n records into a fresh instance of cand and measures the
 // operation throughput for the (theta, writeRatio) workload.
-func fig06Cell(sc Scale, cand Candidate, n int, theta, writeRatio float64) (float64, error) {
+func fig06Cell(sc Scale, cand Class, n int, theta, writeRatio float64) (float64, error) {
 	y := workload.NewYCSB(workload.YCSBConfig{
 		Records: n, Theta: theta, WriteRatio: writeRatio, Seed: 42,
 	})
-	idx, err := cand.New()
+	idx, err := newIndex(sc, cand)
 	if err != nil {
 		return 0, err
 	}
@@ -59,12 +59,4 @@ func fig06Cell(sc Scale, cand Candidate, n int, theta, writeRatio float64) (floa
 	}
 	tput, _, err := Throughput(idx, y.Ops(sc.Ops), WriteBatchFor(cand, sc.Batch))
 	return tput, err
-}
-
-func candidateNames(cands []Candidate) []string {
-	out := make([]string, len(cands))
-	for i, c := range cands {
-		out[i] = c.Name
-	}
-	return out
 }

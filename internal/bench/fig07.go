@@ -36,13 +36,13 @@ func fig07Wiki(sc Scale) (*Table, error) {
 		ID:      "Figure 7(a)",
 		Title:   "Wiki throughput (Kops/s)",
 		XLabel:  "Workload",
-		Columns: candidateNames(cands),
+		Columns: classNames(cands),
 		Note:    fmt.Sprintf("%d pages, %d versions", sc.WikiPages, sc.WikiVersions),
 	}
 	readCells := make([]string, 0, len(cands))
 	writeCells := make([]string, 0, len(cands))
 	for _, cand := range cands {
-		idx, err := cand.New()
+		idx, err := newIndex(sc, cand)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func fig07Eth(sc Scale) (*Table, error) {
 		ID:      "Figure 7(b)",
 		Title:   "Ethereum transaction throughput (Kops/s)",
 		XLabel:  "Workload",
-		Columns: candidateNames(cands),
+		Columns: classNames(cands),
 		Note:    fmt.Sprintf("%d blocks, ~%d tx/block, per-block indexes", sc.EthBlocks, sc.EthTxPerBlock),
 	}
 	readCells := make([]string, 0, len(cands))
@@ -120,7 +120,7 @@ func fig07Eth(sc Scale) (*Table, error) {
 		txTotal := 0
 		start := time.Now()
 		for _, b := range blocks {
-			idx, err := cand.New()
+			idx, err := newIndex(sc, cand)
 			if err != nil {
 				return nil, err
 			}

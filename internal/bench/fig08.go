@@ -19,7 +19,7 @@ func Fig08(sc Scale) ([]*Table, error) {
 		ID:      "Figure 8",
 		Title:   "diff latency (s) between two independently loaded versions",
 		XLabel:  "#Records",
-		Columns: candidateNames(cands),
+		Columns: classNames(cands),
 		Note:    "versions differ in 1% of records; each loaded in its own random batch order",
 	}
 	for _, n := range sc.DiffCounts {
@@ -38,11 +38,11 @@ func Fig08(sc Scale) ([]*Table, error) {
 		}
 		cells := make([]string, 0, len(cands))
 		for _, cand := range cands {
-			a, err := loadShuffled(cand, base, sc.Batch, 1)
+			a, err := loadShuffled(sc, cand, base, 1)
 			if err != nil {
 				return nil, err
 			}
-			b, err := loadShuffled(cand, other, sc.Batch, 2)
+			b, err := loadShuffled(sc, cand, other, 2)
 			if err != nil {
 				return nil, err
 			}
@@ -69,8 +69,8 @@ func Fig08(sc Scale) ([]*Table, error) {
 // New shares it; here each side gets its own store, matching two parties
 // exchanging only root hashes — Diff then reads both stores through the
 // respective index handles.
-func loadShuffled(cand Candidate, entries []core.Entry, batch int, seed int64) (core.Index, error) {
-	idx, err := cand.New()
+func loadShuffled(sc Scale, cand Class, entries []core.Entry, seed int64) (core.Index, error) {
+	idx, err := newIndex(sc, cand)
 	if err != nil {
 		return nil, err
 	}
@@ -78,5 +78,5 @@ func loadShuffled(cand Candidate, entries []core.Entry, batch int, seed int64) (
 	copy(shuffled, entries)
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	return LoadBatched(idx, shuffled, batch)
+	return LoadBatched(idx, shuffled, sc.Batch)
 }

@@ -18,7 +18,7 @@ func Fig09(sc Scale) ([]*Table, error) {
 	histograms := make([]map[int]int, len(cands))
 	maxH := 0
 	for ci, cand := range cands {
-		idx, err := cand.New()
+		idx, err := newIndex(sc, cand)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +46,7 @@ func Fig09(sc Scale) ([]*Table, error) {
 		ID:      "Figure 9",
 		Title:   "#operations (x1000) by traversed tree height, uniform write workload",
 		XLabel:  "Tree Height",
-		Columns: candidateNames(cands),
+		Columns: classNames(cands),
 		Note:    fmt.Sprintf("%d records, %d operations", n, sc.Ops),
 	}
 	for h := 1; h <= maxH; h++ {

@@ -69,7 +69,7 @@ func latencyTable(sc Scale, id string, write bool, theta float64, datasetFn func
 			dataset = y.Dataset()
 			ops = y.Ops(sc.Ops)
 		}
-		idx, err := cand.New()
+		idx, err := newIndex(sc, cand)
 		if err != nil {
 			return nil, err
 		}

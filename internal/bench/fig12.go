@@ -41,7 +41,7 @@ func Fig12(sc Scale) ([]*Table, error) {
 		var chain []core.Index
 		var writeSamples []time.Duration
 		for _, b := range blocks {
-			idx, err := cand.New()
+			idx, err := newIndex(sc, cand)
 			if err != nil {
 				return nil, err
 			}

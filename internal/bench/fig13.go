@@ -12,12 +12,15 @@ import (
 // record count grows with a fixed bucket count, the tree-traversal and
 // node-loading phase stays constant while the bucket decode-and-scan phase
 // grows linearly — the root cause of MBT's read degradation in Figure 6.
+// The nodes/lookup and entries/lookup columns count the same two phases
+// deterministically: nodes loaded root to bucket, and bucket entries
+// decoded.
 func Fig13(sc Scale) ([]*Table, error) {
 	t := &Table{
 		ID:      "Figure 13",
 		Title:   "MBT lookup breakdown (µs per op)",
 		XLabel:  "#Records",
-		Columns: []string{"Load time", "Scan time"},
+		Columns: []string{"Load time", "Scan time", "nodes/lookup", "entries/lookup"},
 		Note:    fmt.Sprintf("%d buckets, fanout 32", sc.MBTBuckets),
 	}
 	counts := sc.YCSBCounts
@@ -27,7 +30,7 @@ func Fig13(sc Scale) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tree, err := mbt.New(s, mbt.Config{Capacity: sc.MBTBuckets, Fanout: 32})
+		tree, err := Classes(sc)[1].New(s) // MBT
 		if err != nil {
 			store.Release(s)
 			return nil, err
@@ -43,6 +46,7 @@ func Fig13(sc Scale) ([]*Table, error) {
 			probes = 200
 		}
 		var load, scan float64
+		var nodes, entries int
 		z := workload.NewZipfian(uint64(n), 0, 13)
 		for i := 0; i < probes; i++ {
 			key := y.Key(int(z.Next()))
@@ -57,10 +61,14 @@ func Fig13(sc Scale) ([]*Table, error) {
 			}
 			load += float64(bd.Load.Nanoseconds())
 			scan += float64(bd.Scan.Nanoseconds())
+			nodes += bd.Nodes
+			entries += bd.Entries
 		}
 		t.AddRow(fmt.Sprint(n),
 			f2(load/float64(probes)/1000),
-			f2(scan/float64(probes)/1000))
+			f2(scan/float64(probes)/1000),
+			f2(float64(nodes)/float64(probes)),
+			f1(float64(entries)/float64(probes)))
 		store.Release(s)
 	}
 	return []*Table{t}, nil

@@ -45,20 +45,20 @@ func Fig14(sc Scale) ([]*Table, error) {
 		ID:      "Figure 14(a)",
 		Title:   "storage usage (MB), single group",
 		XLabel:  "#Records",
-		Columns: candidateNames(cands),
+		Columns: classNames(cands),
 	}
 	nodes := &Table{
 		ID:      "Figure 14(b)",
 		Title:   "#nodes (x1000), single group",
 		XLabel:  "#Records",
-		Columns: candidateNames(cands),
+		Columns: classNames(cands),
 	}
 	for _, n := range sc.YCSBCounts {
 		y := workload.NewYCSB(workload.YCSBConfig{Records: n, WriteRatio: 1, Seed: 14})
 		storageCells := make([]string, 0, len(cands))
 		nodeCells := make([]string, 0, len(cands))
 		for _, cand := range cands {
-			idx, err := cand.New()
+			idx, err := newIndex(sc, cand)
 			if err != nil {
 				return nil, err
 			}

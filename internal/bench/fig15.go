@@ -16,13 +16,13 @@ func Fig15(sc Scale) ([]*Table, error) {
 		ID:      "Figure 15(a)",
 		Title:   "Wiki storage usage (MB)",
 		XLabel:  "#Versions",
-		Columns: candidateNames(cands),
+		Columns: classNames(cands),
 	}
 	nodes := &Table{
 		ID:      "Figure 15(b)",
 		Title:   "Wiki #nodes (x1000)",
 		XLabel:  "#Versions",
-		Columns: candidateNames(cands),
+		Columns: classNames(cands),
 	}
 	w := workload.NewWiki(workload.WikiConfig{
 		Pages: sc.WikiPages, Versions: sc.WikiVersions,
@@ -35,7 +35,7 @@ func Fig15(sc Scale) ([]*Table, error) {
 	type cells struct{ storage, nodes []string }
 	perCand := make([]cells, len(cands))
 	for ci, cand := range cands {
-		idx, err := cand.New()
+		idx, err := newIndex(sc, cand)
 		if err != nil {
 			return nil, err
 		}

@@ -15,13 +15,13 @@ func Fig16(sc Scale) ([]*Table, error) {
 		ID:      "Figure 16(a)",
 		Title:   "Ethereum storage usage (MB)",
 		XLabel:  "#Blocks",
-		Columns: candidateNames(cands),
+		Columns: classNames(cands),
 	}
 	nodes := &Table{
 		ID:      "Figure 16(b)",
 		Title:   "Ethereum #nodes (x1000)",
 		XLabel:  "#Blocks",
-		Columns: candidateNames(cands),
+		Columns: classNames(cands),
 	}
 	gen := workload.NewEthereum(workload.EthConfig{
 		Blocks: sc.EthBlocks, TxPerBlock: sc.EthTxPerBlock, Seed: 11,
@@ -35,7 +35,7 @@ func Fig16(sc Scale) ([]*Table, error) {
 		var versions []core.Index
 		cpi := 0
 		for bi := 1; bi <= b; bi++ {
-			idx, err := cand.New()
+			idx, err := newIndex(sc, cand)
 			if err != nil {
 				return nil, err
 			}

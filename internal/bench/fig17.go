@@ -10,14 +10,14 @@ import (
 // collabRun executes the diverse-group collaboration scenario of §5.4.2:
 // `parties` users each initialize the same dataset, then run overlapping
 // workloads in batches. It returns every version of every party's index.
-func collabRun(cand Candidate, sc Scale, parties int, overlap float64, batch int) ([]core.Index, error) {
+func collabRun(cand Class, sc Scale, parties int, overlap float64, batch int) ([]core.Index, error) {
 	y := workload.NewYCSB(workload.YCSBConfig{Records: sc.CollabInit, Seed: 17})
 	initData := y.Dataset()
 	partyOps := workload.OverlapWorkload(y, parties, sc.CollabOps, overlap, 1717)
 
 	var versions []core.Index
 	for p := 0; p < parties; p++ {
-		idx, err := cand.New()
+		idx, err := newIndex(sc, cand)
 		if err != nil {
 			return nil, err
 		}
@@ -47,10 +47,10 @@ func Fig17(sc Scale) ([]*Table, error) {
 // reports the four §5.4.2 metrics.
 func collabTables(sc Scale, figure, xlabel string, param func(x int) (overlap float64, batch int), xs []int) ([]*Table, error) {
 	cands := CandidateSet(sc)
-	storage := &Table{ID: figure + "(a)", Title: "storage usage (MB)", XLabel: xlabel, Columns: candidateNames(cands)}
-	nodes := &Table{ID: figure + "(b)", Title: "#nodes (x1000)", XLabel: xlabel, Columns: candidateNames(cands)}
-	dedup := &Table{ID: figure + "(c)", Title: "deduplication ratio", XLabel: xlabel, Columns: candidateNames(cands)}
-	sharing := &Table{ID: figure + "(d)", Title: "node sharing ratio", XLabel: xlabel, Columns: candidateNames(cands)}
+	storage := &Table{ID: figure + "(a)", Title: "storage usage (MB)", XLabel: xlabel, Columns: classNames(cands)}
+	nodes := &Table{ID: figure + "(b)", Title: "#nodes (x1000)", XLabel: xlabel, Columns: classNames(cands)}
+	dedup := &Table{ID: figure + "(c)", Title: "deduplication ratio", XLabel: xlabel, Columns: classNames(cands)}
+	sharing := &Table{ID: figure + "(d)", Title: "node sharing ratio", XLabel: xlabel, Columns: classNames(cands)}
 	note := fmt.Sprintf("%d parties, %d initial records, %d ops each",
 		sc.CollabParties, sc.CollabInit, sc.CollabOps)
 	storage.Note, nodes.Note, dedup.Note, sharing.Note = note, note, note, note

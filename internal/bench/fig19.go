@@ -23,16 +23,10 @@ func ablationTables(sc Scale, figure string, onLabel, offLabel string, off postr
 		XLabel:  "Overlap Ratio (%)",
 		Columns: []string{onLabel, offLabel},
 	}
-	mkCand := func(ab postree.Ablation) Candidate {
-		return Candidate{Name: "POS-Tree", New: func() (core.Index, error) {
-			s, err := sc.NewStore()
-			if err != nil {
-				return nil, err
-			}
-			cfg := postree.ConfigForNodeSize(sc.NodeSize)
-			cfg.Ablation = ab
-			return postree.New(s, cfg), nil
-		}}
+	mkCand := func(ab postree.Ablation) Class {
+		cfg := postree.ConfigForNodeSize(sc.NodeSize)
+		cfg.Ablation = ab
+		return posTreeClass("POS-Tree", cfg)
 	}
 	for _, ratio := range []int{10, 20, 40, 60, 80, 100} {
 		var dedupCells, sharingCells []string

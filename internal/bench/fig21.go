@@ -7,10 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/forkbase"
 	"repro/internal/hash"
-	"repro/internal/mbt"
-	"repro/internal/mpt"
-	"repro/internal/mvmbt"
-	"repro/internal/postree"
 	"repro/internal/store"
 	"repro/internal/version"
 	"repro/internal/workload"
@@ -33,103 +29,39 @@ func clientCacheFor(sc Scale) int64 {
 	}
 }
 
-// servedCandidate pairs an index constructor with the Loader a client needs
-// to interpret its nodes.
-type servedCandidate struct {
-	name   string
-	new    func() (core.Index, error)
-	loader forkbase.Loader
+// servedLoader adapts a class's version.Loader to the forkbase.Loader a
+// client needs to interpret its nodes. The table's loaders fail only on a
+// config they validate at construction, so an error here is a bug.
+func servedLoader(l version.Loader) forkbase.Loader {
+	return func(s store.Store, root hash.Hash, height int) core.Index {
+		idx, err := l(s, root, height)
+		if err != nil {
+			panic(err)
+		}
+		return idx
+	}
 }
 
 // serveSeeded commits idx as the head of a branch in a repo over idx's
 // store, registering l as the checkout loader for idx's class, and returns
 // a servlet serving that branch: the repo-backed write path every system
 // experiment measures.
-func serveSeeded(idx core.Index, l forkbase.Loader) (*forkbase.Servlet, error) {
+func serveSeeded(idx core.Index, l version.Loader) (*forkbase.Servlet, error) {
 	const branch = "served"
 	repo := version.NewRepo(idx.Store())
-	repo.RegisterLoader(idx.Name(), func(s store.Store, root hash.Hash, height int) (core.Index, error) {
-		return l(s, root, height), nil
-	})
+	repo.RegisterLoader(idx.Name(), l)
 	if _, err := repo.Commit(branch, idx, "seed"); err != nil {
 		return nil, err
 	}
 	return forkbase.NewServletRepo(repo, branch)
 }
 
-func servedCandidates(sc Scale) []servedCandidate {
-	posCfg := postree.ConfigForNodeSize(sc.NodeSize)
-	mbtCfg := mbt.Config{Capacity: sc.MBTBuckets, Fanout: 32}
-	mvCfg := mvmbt.ConfigForNodeSize(sc.NodeSize)
-	return []servedCandidate{
-		{
-			name: "POS-Tree",
-			new: func() (core.Index, error) {
-				s, err := sc.NewStore()
-				if err != nil {
-					return nil, err
-				}
-				return postree.New(s, posCfg), nil
-			},
-			loader: func(s store.Store, root hash.Hash, height int) core.Index {
-				return postree.Load(s, posCfg, root, height)
-			},
-		},
-		{
-			name: "MBT",
-			new: func() (core.Index, error) {
-				s, err := sc.NewStore()
-				if err != nil {
-					return nil, err
-				}
-				return mbt.New(s, mbtCfg)
-			},
-			loader: func(s store.Store, root hash.Hash, _ int) core.Index {
-				t, err := mbt.Load(s, mbtCfg, root)
-				if err != nil {
-					panic(err) // Load only validates config; cfg is fixed
-				}
-				return t
-			},
-		},
-		{
-			name: "MPT",
-			new: func() (core.Index, error) {
-				s, err := sc.NewStore()
-				if err != nil {
-					return nil, err
-				}
-				return mpt.New(s), nil
-			},
-			loader: func(s store.Store, root hash.Hash, _ int) core.Index {
-				return mpt.Load(s, root)
-			},
-		},
-		{
-			name: "MVMB+-Tree",
-			new: func() (core.Index, error) {
-				s, err := sc.NewStore()
-				if err != nil {
-					return nil, err
-				}
-				return mvmbt.New(s, mvCfg), nil
-			},
-			loader: func(s store.Store, root hash.Hash, height int) core.Index {
-				return mvmbt.Load(s, mvCfg, root, height)
-			},
-		},
-	}
-}
-
 // Fig21 reproduces Figure 21: system-level throughput with the indexes
 // integrated into the Forkbase-style engine — a single servlet and a single
 // client over TCP, client-side node caching for reads, server-side writes.
 func Fig21(sc Scale) ([]*Table, error) {
-	cands := servedCandidates(sc)
-	names := make([]string, len(cands))
-	for i, c := range cands {
-		names[i] = c.name
-	}
+	cands := CandidateSet(sc)
+	names := classNames(cands)
 	read := &Table{
 		ID:      "Figure 21(a)",
 		Title:   "Forkbase-integrated read throughput (Kops/s)",
@@ -142,13 +74,22 @@ func Fig21(sc Scale) ([]*Table, error) {
 		XLabel:  "#Records",
 		Columns: names,
 	}
+	return servedTables(sc, "fig21", cands, read, write, func(c Class, n int) (float64, float64, error) {
+		return servedCell(sc, c, n, 21, 2121, sc.Ops/2, sc.Batch, 5000)
+	})
+}
+
+// servedTables fills read and write with one row per YCSB count and one
+// served throughput cell (in Kops/s) per class.
+func servedTables(sc Scale, exp string, classes []Class, read, write *Table,
+	cell func(c Class, n int) (readTput, writeTput float64, err error)) ([]*Table, error) {
 	for _, n := range sc.YCSBCounts {
-		readCells := make([]string, 0, len(cands))
-		writeCells := make([]string, 0, len(cands))
-		for _, cand := range cands {
-			rt, wt, err := fig21Cell(sc, cand, n)
+		readCells := make([]string, 0, len(classes))
+		writeCells := make([]string, 0, len(classes))
+		for _, c := range classes {
+			rt, wt, err := cell(c, n)
 			if err != nil {
-				return nil, fmt.Errorf("fig21 %s n=%d: %w", cand.name, n, err)
+				return nil, fmt.Errorf("%s %s n=%d: %w", exp, c.Name, n, err)
 			}
 			readCells = append(readCells, f1(rt/1000))
 			writeCells = append(writeCells, f1(wt/1000))
@@ -159,9 +100,14 @@ func Fig21(sc Scale) ([]*Table, error) {
 	return []*Table{read, write}, nil
 }
 
-func fig21Cell(sc Scale, cand servedCandidate, n int) (readTput, writeTput float64, err error) {
-	y := workload.NewYCSB(workload.YCSBConfig{Records: n, Seed: 21})
-	idx, err := cand.new()
+// servedCell loads n YCSB records (workload seed ycsbSeed) into a fresh
+// index of class c, serves it, and measures through one caching client:
+// ops zipfian Gets (generator seed zipfSeed), then ops zipfian writes
+// applied server-side in batches of writeBatch, their values drawn from
+// generation gen onward.
+func servedCell(sc Scale, c Class, n int, ycsbSeed, zipfSeed int64, ops, writeBatch, gen int) (readTput, writeTput float64, err error) {
+	y := workload.NewYCSB(workload.YCSBConfig{Records: n, Seed: ycsbSeed})
+	idx, err := newIndex(sc, c)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -170,7 +116,7 @@ func fig21Cell(sc Scale, cand servedCandidate, n int) (readTput, writeTput float
 	if err != nil {
 		return 0, 0, err
 	}
-	srv, err := serveSeeded(idx, cand.loader)
+	srv, err := serveSeeded(idx, c.Load)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -180,17 +126,16 @@ func fig21Cell(sc Scale, cand servedCandidate, n int) (readTput, writeTput float
 	}
 	defer srv.Close()
 
-	cli, err := forkbase.Dial(addr, cand.loader, clientCacheFor(sc))
+	cli, err := forkbase.Dial(addr, servedLoader(c.Load), clientCacheFor(sc))
 	if err != nil {
 		return 0, 0, err
 	}
 	defer cli.Close()
 
 	// Read workload through the caching client.
-	readOps := sc.Ops / 2
-	z := workload.NewZipfian(uint64(n), 0, 2121)
+	z := workload.NewZipfian(uint64(n), 0, zipfSeed)
 	start := time.Now()
-	for i := 0; i < readOps; i++ {
+	for i := 0; i < ops; i++ {
 		key := y.Key(int(z.Next()))
 		if _, ok, err := cli.Get(key); err != nil {
 			return 0, 0, err
@@ -198,16 +143,15 @@ func fig21Cell(sc Scale, cand servedCandidate, n int) (readTput, writeTput float
 			return 0, 0, fmt.Errorf("key %q missing", key)
 		}
 	}
-	readTput = float64(readOps) / time.Since(start).Seconds()
+	readTput = float64(ops) / time.Since(start).Seconds()
 
 	// Write workload applied server-side in batches.
-	writeOps := sc.Ops / 2
-	batch := make([]core.Entry, 0, sc.Batch)
+	batch := make([]core.Entry, 0, writeBatch)
 	start = time.Now()
-	for i := 0; i < writeOps; i++ {
+	for i := 0; i < ops; i++ {
 		id := int(z.Next())
-		batch = append(batch, core.Entry{Key: y.Key(id), Value: y.Value(id, 5000+i)})
-		if len(batch) >= sc.Batch {
+		batch = append(batch, core.Entry{Key: y.Key(id), Value: y.Value(id, gen+i)})
+		if len(batch) >= writeBatch {
 			if err := cli.PutBatch(batch); err != nil {
 				return 0, 0, err
 			}
@@ -219,6 +163,6 @@ func fig21Cell(sc Scale, cand servedCandidate, n int) (readTput, writeTput float
 			return 0, 0, err
 		}
 	}
-	writeTput = float64(writeOps) / time.Since(start).Seconds()
+	writeTput = float64(ops) / time.Since(start).Seconds()
 	return readTput, writeTput, nil
 }

@@ -35,8 +35,8 @@ func GCPause(sc Scale) ([]*Table, error) {
 		keep = 1
 	}
 
-	cand := CandidateSet(sc)[0] // POS-Tree, the flagship write path
-	idx, err := cand.New()
+	cand := Classes(sc)[0] // POS-Tree, the flagship write path
+	idx, err := newIndex(sc, cand)
 	if err != nil {
 		return nil, fmt.Errorf("gcpause: %w", err)
 	}

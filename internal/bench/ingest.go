@@ -8,12 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ingest"
-	"repro/internal/mbt"
-	"repro/internal/mpt"
-	"repro/internal/mvmbt"
-	"repro/internal/postree"
-	"repro/internal/prolly"
-	"repro/internal/store"
 	"repro/internal/version"
 )
 
@@ -64,49 +58,26 @@ func IngestExp(sc Scale) ([]*Table, error) {
 		Note:    "Merging columns sample Gets while a full memtable folds into the index",
 	}
 
-	for _, cls := range ingestClasses(sc) {
+	for _, cls := range Classes(sc) {
 		direct, err := ingestDirectRate(sc, cls, writes, commitEvery)
 		if err != nil {
-			return nil, fmt.Errorf("ingest %s: direct: %w", cls.name, err)
+			return nil, fmt.Errorf("ingest %s: direct: %w", cls.Name, err)
 		}
 		buffered, err := ingestBufferedRate(sc, cls, writes, commitEvery, mergeEvery)
 		if err != nil {
-			return nil, fmt.Errorf("ingest %s: buffered: %w", cls.name, err)
+			return nil, fmt.Errorf("ingest %s: buffered: %w", cls.Name, err)
 		}
-		thrTable.AddRow(cls.name, f1(direct), f1(buffered), f2(buffered/direct)+"x")
+		thrTable.AddRow(cls.Name, f1(direct), f1(buffered), f2(buffered/direct)+"x")
 
 		idle, merging, err := ingestReadLatency(sc, cls, mergeEvery)
 		if err != nil {
-			return nil, fmt.Errorf("ingest %s: latency: %w", cls.name, err)
+			return nil, fmt.Errorf("ingest %s: latency: %w", cls.Name, err)
 		}
-		latTable.AddRow(cls.name,
+		latTable.AddRow(cls.Name,
 			us(Percentile(idle, 0.5)), us(Percentile(idle, 0.99)),
 			us(Percentile(merging, 0.5)), us(Percentile(merging, 0.99)))
 	}
 	return []*Table{thrTable, latTable}, nil
-}
-
-// ingestClass is one index class wired for the ingest experiment: unlike
-// Candidate.New it builds over a caller-supplied store, because the
-// buffered path needs the repo and the first merged version to share one.
-type ingestClass struct {
-	name  string
-	newOn func(s store.Store) (core.Index, error)
-}
-
-// ingestClasses mirrors RegisterLoaders' class configurations.
-func ingestClasses(sc Scale) []ingestClass {
-	posCfg := postree.ConfigForNodeSize(sc.NodeSize)
-	prollyCfg := prolly.ConfigForNodeSize(sc.NodeSize)
-	mbtCfg := mbt.Config{Capacity: sc.MBTBuckets, Fanout: 32}
-	mvCfg := mvmbt.ConfigForNodeSize(sc.NodeSize)
-	return []ingestClass{
-		{"MPT", func(s store.Store) (core.Index, error) { return mpt.New(s), nil }},
-		{"MBT", func(s store.Store) (core.Index, error) { return mbt.New(s, mbtCfg) }},
-		{"POS-Tree", func(s store.Store) (core.Index, error) { return postree.New(s, posCfg), nil }},
-		{"Prolly-Tree", func(s store.Store) (core.Index, error) { return prolly.New(s, prollyCfg), nil }},
-		{"MVMB+-Tree", func(s store.Store) (core.Index, error) { return mvmbt.New(s, mvCfg), nil }},
-	}
 }
 
 // ingestWorkload builds the deterministic shuffled point-write stream both
@@ -132,12 +103,12 @@ func ingestWorkload(writes int) []core.Entry {
 
 // ingestDirectRate measures the baseline: accumulate point writes and
 // commit every commitEvery of them straight into the index.
-func ingestDirectRate(sc Scale, cls ingestClass, writes, commitEvery int) (float64, error) {
+func ingestDirectRate(sc Scale, cls Class, writes, commitEvery int) (float64, error) {
 	s, err := sc.NewStore()
 	if err != nil {
 		return 0, err
 	}
-	idx, err := cls.newOn(s)
+	idx, err := cls.New(s)
 	if err != nil {
 		return 0, err
 	}
@@ -167,7 +138,7 @@ func ingestDirectRate(sc Scale, cls ingestClass, writes, commitEvery int) (float
 // Buffer.Put, the WAL group-commits at the baseline's ack granularity, and
 // auto-merges fold the memtable in. The final merge is inside the timing so
 // both paths end with everything in the index.
-func ingestBufferedRate(sc Scale, cls ingestClass, writes, ackEvery, mergeEvery int) (float64, error) {
+func ingestBufferedRate(sc Scale, cls Class, writes, ackEvery, mergeEvery int) (float64, error) {
 	s, err := sc.NewStore()
 	if err != nil {
 		return 0, err
@@ -180,7 +151,7 @@ func ingestBufferedRate(sc Scale, cls ingestClass, writes, ackEvery, mergeEvery 
 	}
 	defer os.RemoveAll(dir)
 	bu, err := ingest.Open(repo, ingest.Options{
-		Dir: dir, Branch: "main", New: cls.newOn,
+		Dir: dir, Branch: "main", New: cls.New,
 		AutoMerge: true, MaxEntries: mergeEvery,
 	})
 	if err != nil {
@@ -212,7 +183,7 @@ func ingestBufferedRate(sc Scale, cls ingestClass, writes, ackEvery, mergeEvery 
 // ingestReadLatency samples Get latency through the layered view with the
 // buffer idle (memtable merged) and again while a merge of a full memtable
 // races the reads.
-func ingestReadLatency(sc Scale, cls ingestClass, mergeEvery int) (idle, merging []time.Duration, err error) {
+func ingestReadLatency(sc Scale, cls Class, mergeEvery int) (idle, merging []time.Duration, err error) {
 	s, err := sc.NewStore()
 	if err != nil {
 		return nil, nil, err
@@ -224,7 +195,7 @@ func ingestReadLatency(sc Scale, cls ingestClass, mergeEvery int) (idle, merging
 		return nil, nil, err
 	}
 	defer os.RemoveAll(dir)
-	bu, err := ingest.Open(repo, ingest.Options{Dir: dir, Branch: "main", New: cls.newOn})
+	bu, err := ingest.Open(repo, ingest.Options{Dir: dir, Branch: "main", New: cls.New})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -247,23 +218,9 @@ func ingestReadLatency(sc Scale, cls ingestClass, mergeEvery int) (idle, merging
 		keys[i] = e.Key
 	}
 	rng := rand.New(rand.NewSource(59))
-	const samples = 400
-	sample := func(stopWhen func() bool) []time.Duration {
-		var out []time.Duration
-		for i := 0; i < samples; i++ {
-			if stopWhen != nil && stopWhen() {
-				break
-			}
-			k := keys[rng.Intn(len(keys))]
-			t0 := time.Now()
-			if _, _, err := bu.Get(k); err != nil {
-				return out
-			}
-			out = append(out, time.Since(t0))
-		}
-		return out
+	if idle, err = sampleGets(bu.Get, keys, rng, nil); err != nil {
+		return nil, nil, err
 	}
-	idle = sample(nil)
 
 	// Refill the memtable and sample while the merge folds it in. A merge
 	// that outpaces the sampler just yields fewer racing samples; keep at
@@ -279,7 +236,7 @@ func ingestReadLatency(sc Scale, cls ingestClass, mergeEvery int) (idle, merging
 		_, _, err := bu.Merge()
 		done <- err
 	}()
-	merging = sample(func() bool {
+	merging, err = sampleGets(bu.Get, keys, rng, func() bool {
 		select {
 		case err := <-done:
 			done <- err
@@ -288,11 +245,41 @@ func ingestReadLatency(sc Scale, cls ingestClass, mergeEvery int) (idle, merging
 			return false
 		}
 	})
-	if err := <-done; err != nil {
+	if mergeErr := <-done; mergeErr != nil {
+		return nil, nil, mergeErr
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	if len(merging) == 0 {
-		merging = sample(nil)[:1]
+		if merging, err = sampleGets(bu.Get, keys, rng, nil); err != nil {
+			return nil, nil, err
+		}
+		merging = merging[:1]
 	}
 	return idle, merging, nil
+}
+
+// sampleGets times up to 400 Gets of keys drawn by rng, stopping early
+// when stopWhen (if set) reports true. Every sampled key is resident, so a
+// miss is an error, as is any Get error.
+func sampleGets(get func([]byte) ([]byte, bool, error), keys [][]byte, rng *rand.Rand, stopWhen func() bool) ([]time.Duration, error) {
+	const samples = 400
+	var out []time.Duration
+	for i := 0; i < samples; i++ {
+		if stopWhen != nil && stopWhen() {
+			break
+		}
+		k := keys[rng.Intn(len(keys))]
+		t0 := time.Now()
+		_, ok, err := get(k)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, time.Since(t0))
+		if !ok {
+			return nil, fmt.Errorf("key %q missing", k)
+		}
+	}
+	return out, nil
 }

@@ -9,9 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forkbase"
-	"repro/internal/hash"
-	"repro/internal/postree"
-	"repro/internal/store"
+	"repro/internal/version"
 	"repro/internal/workload"
 )
 
@@ -93,14 +91,15 @@ func OverloadExp(sc Scale) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := postree.ConfigForNodeSize(sc.NodeSize)
+	pos := Classes(sc)[0] // POS-Tree
 	y := workload.NewYCSB(workload.YCSBConfig{Records: n, Seed: 10})
-	idx, err := LoadBatched(postree.New(s, cfg), y.Dataset(), sc.Batch)
+	idx, err := pos.New(s)
+	if err != nil {
+		return nil, fmt.Errorf("overload: %w", err)
+	}
+	idx, err = LoadBatched(idx, y.Dataset(), sc.Batch)
 	if err != nil {
 		return nil, fmt.Errorf("overload: load: %w", err)
-	}
-	loader := func(st store.Store, root hash.Hash, height int) core.Index {
-		return postree.Load(st, cfg, root, height)
 	}
 
 	shedOn := forkbase.ServerOptions{MaxConns: base, MaxInflight: base}
@@ -110,7 +109,7 @@ func OverloadExp(sc Scale) ([]*Table, error) {
 	// enough that 1× traffic rarely trips it, tight enough that queueing a
 	// few multiples deep exhausts it — which is exactly what a client-side
 	// timeout means in production.
-	calib, err := overloadCell(idx, loader, y, n, base, window, shedOn, 2*time.Second)
+	calib, err := overloadCell(idx, pos.Load, y, n, base, window, shedOn, 2*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("overload: calibration: %w", err)
 	}
@@ -147,11 +146,11 @@ func OverloadExp(sc Scale) ([]*Table, error) {
 	var onByMult, offByMult []overloadArm
 	for _, mult := range overloadMults {
 		workers := mult * base
-		on, err := overloadCell(idx, loader, y, n, workers, window, shedOn, budget)
+		on, err := overloadCell(idx, pos.Load, y, n, workers, window, shedOn, budget)
 		if err != nil {
 			return nil, fmt.Errorf("overload: shed-on %dx: %w", mult, err)
 		}
-		off, err := overloadCell(idx, loader, y, n, workers, window, shedOff, budget)
+		off, err := overloadCell(idx, pos.Load, y, n, workers, window, shedOff, budget)
 		if err != nil {
 			return nil, fmt.Errorf("overload: shed-off %dx: %w", mult, err)
 		}
@@ -200,7 +199,7 @@ func OverloadExp(sc Scale) ([]*Table, error) {
 // connection keeps it; the client transparently redials if the connection
 // dies, and an admission rejection on that redial surfaces as ErrBusy on
 // the op, counted the same as a shed dial.
-func overloadCell(idx core.Index, loader forkbase.Loader, y *workload.YCSB,
+func overloadCell(idx core.Index, loader version.Loader, y *workload.YCSB,
 	records, workers int, window time.Duration,
 	so forkbase.ServerOptions, budget time.Duration) (overloadArm, error) {
 
@@ -220,6 +219,7 @@ func overloadCell(idx core.Index, loader forkbase.Loader, y *workload.YCSB,
 		BreakerThreshold: -1, // keep offering load; the server is under test
 	}
 
+	clientLoader := servedLoader(loader)
 	arm := overloadArm{window: window}
 	var (
 		mu    sync.Mutex
@@ -265,7 +265,7 @@ func overloadCell(idx core.Index, loader forkbase.Loader, y *workload.YCSB,
 			deadline := time.Now().Add(window)
 			for k := 0; time.Now().Before(deadline); k++ {
 				if cli == nil {
-					c, err := forkbase.DialOptions(addr, loader, opts)
+					c, err := forkbase.DialOptions(addr, clientLoader, opts)
 					if err != nil {
 						classify(err)
 						continue

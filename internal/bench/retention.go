@@ -4,12 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hash"
-	"repro/internal/mbt"
-	"repro/internal/mpt"
-	"repro/internal/mvmbt"
-	"repro/internal/postree"
-	"repro/internal/prolly"
 	"repro/internal/store"
 	"repro/internal/version"
 	"repro/internal/workload"
@@ -61,8 +55,8 @@ func RetentionExp(sc Scale) ([]*Table, error) {
 	}
 
 	y := workload.NewYCSB(workload.YCSBConfig{Records: sc.YCSBCounts[0], Seed: 17})
-	for _, cand := range scanCandidates(sc) {
-		idx, err := cand.New()
+	for _, cand := range Classes(sc) {
+		idx, err := newIndex(sc, cand)
 		if err != nil {
 			return nil, fmt.Errorf("retention %s: %w", cand.Name, err)
 		}
@@ -147,27 +141,11 @@ func RetentionExp(sc Scale) ([]*Table, error) {
 	return []*Table{spaceTable, gcTable}, nil
 }
 
-// RegisterLoaders installs a version.Loader for every index class the
-// benchmark candidates build at this scale, so commits of any class can be
-// checked out and GC-marked. cmd/siribench's version verbs reuse it.
+// RegisterLoaders installs the checkout loader of every class in
+// Classes(sc), so commits of any class can be checked out and GC-marked.
+// cmd/siribench's version and ingest verbs reuse it.
 func RegisterLoaders(repo *version.Repo, sc Scale) {
-	posCfg := postree.ConfigForNodeSize(sc.NodeSize)
-	prollyCfg := prolly.ConfigForNodeSize(sc.NodeSize)
-	mbtCfg := mbt.Config{Capacity: sc.MBTBuckets, Fanout: 32}
-	mvCfg := mvmbt.ConfigForNodeSize(sc.NodeSize)
-	repo.RegisterLoader("MPT", func(s store.Store, root hash.Hash, _ int) (core.Index, error) {
-		return mpt.Load(s, root), nil
-	})
-	repo.RegisterLoader("MBT", func(s store.Store, root hash.Hash, _ int) (core.Index, error) {
-		return mbt.Load(s, mbtCfg, root)
-	})
-	repo.RegisterLoader("POS-Tree", func(s store.Store, root hash.Hash, height int) (core.Index, error) {
-		return postree.Load(s, posCfg, root, height), nil
-	})
-	repo.RegisterLoader("Prolly-Tree", func(s store.Store, root hash.Hash, height int) (core.Index, error) {
-		return prolly.Load(s, prollyCfg, root, height), nil
-	})
-	repo.RegisterLoader("MVMB+-Tree", func(s store.Store, root hash.Hash, height int) (core.Index, error) {
-		return mvmbt.Load(s, mvCfg, root, height), nil
-	})
+	for _, c := range Classes(sc) {
+		repo.RegisterLoader(c.Name, c.Load)
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/prolly"
 	"repro/internal/workload"
 )
 
@@ -36,11 +35,8 @@ func ScanExp(sc Scale) ([]*Table, error) {
 	}
 	sort.Slice(sortedKeys, func(i, j int) bool { return bytes.Compare(sortedKeys[i], sortedKeys[j]) < 0 })
 
-	cands := scanCandidates(sc)
-	names := make([]string, len(cands))
-	for i, c := range cands {
-		names[i] = c.Name
-	}
+	cands := Classes(sc)
+	names := classNames(cands)
 
 	selTable := &Table{
 		ID:      "RangeScan(a)",
@@ -60,7 +56,7 @@ func ScanExp(sc Scale) ([]*Table, error) {
 	rates := make(map[string][]float64, len(cands))
 	ycsbE := make([]string, 0, len(cands))
 	for _, cand := range cands {
-		idx, err := cand.New()
+		idx, err := newIndex(sc, cand)
 		if err != nil {
 			return nil, fmt.Errorf("scan %s: %w", cand.Name, err)
 		}
@@ -95,22 +91,6 @@ func ScanExp(sc Scale) ([]*Table, error) {
 	}
 	ycsbETable.AddRow("E", ycsbE...)
 	return []*Table{selTable, ycsbETable}, nil
-}
-
-// scanCandidates is CandidateSet plus the Prolly Tree: the scan experiment
-// covers every Ranger implementation, not just the paper's four.
-func scanCandidates(sc Scale) []Candidate {
-	cands := CandidateSet(sc)
-	return append(cands, Candidate{
-		Name: "Prolly-Tree",
-		New: func() (core.Index, error) {
-			s, err := sc.NewStore()
-			if err != nil {
-				return nil, err
-			}
-			return prolly.New(s, prolly.ConfigForNodeSize(sc.NodeSize)), nil
-		},
-	})
 }
 
 // scanRate runs bounded scans covering a sel fraction of the sorted key

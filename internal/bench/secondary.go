@@ -60,19 +60,19 @@ func SecondaryExp(sc Scale) ([]*Table, error) {
 		Note: "cold opens; one exact + one range predicate; MBT cannot prune ranges, no gain expected",
 	}
 
-	for _, cls := range ingestClasses(sc) {
+	for _, cls := range Classes(sc) {
 		prim, withSec, err := secondaryInsertCost(sc, cls, rows)
 		if err != nil {
-			return nil, fmt.Errorf("secondary %s: insert: %w", cls.name, err)
+			return nil, fmt.Errorf("secondary %s: insert: %w", cls.Name, err)
 		}
 		overhead := (withSec/prim - 1) * 100
-		insTable.AddRow(cls.name, f1(prim), f1(withSec), f1(overhead)+"%")
+		insTable.AddRow(cls.Name, f1(prim), f1(withSec), f1(overhead)+"%")
 
 		matched, idxReads, scanReads, err := secondaryReadCost(sc, cls, rows)
 		if err != nil {
-			return nil, fmt.Errorf("secondary %s: reads: %w", cls.name, err)
+			return nil, fmt.Errorf("secondary %s: reads: %w", cls.Name, err)
 		}
-		readTable.AddRow(cls.name,
+		readTable.AddRow(cls.Name,
 			fmt.Sprint(matched), fmt.Sprint(idxReads), fmt.Sprint(scanReads),
 			f2(float64(scanReads)/float64(idxReads))+"x")
 	}
@@ -124,7 +124,7 @@ func secondaryLoad(sc Scale, tbl *secondary.Table, rows int) (float64, error) {
 
 // secondaryInsertCost times the same load twice on fresh stores: through a
 // table with no secondary defs, and through one maintaining the city index.
-func secondaryInsertCost(sc Scale, cls ingestClass, rows int) (prim, withSec float64, err error) {
+func secondaryInsertCost(sc Scale, cls Class, rows int) (prim, withSec float64, err error) {
 	for _, withDef := range []bool{false, true} {
 		s, err := sc.NewStore()
 		if err != nil {
@@ -134,9 +134,9 @@ func secondaryInsertCost(sc Scale, cls ingestClass, rows int) (prim, withSec flo
 		RegisterLoaders(repo, sc)
 		var defs []secondary.Def
 		if withDef {
-			defs = append(defs, secondary.Def{Attr: "city", Extract: secondaryCity, New: cls.newOn})
+			defs = append(defs, secondary.Def{Attr: "city", Extract: secondaryCity, New: cls.New})
 		}
-		tbl, err := secondary.Open(repo, "main", cls.newOn, defs...)
+		tbl, err := secondary.Open(repo, "main", cls.New, defs...)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -178,7 +178,7 @@ func secondaryQueries(eng query.Engine, rows int) (int, error) {
 // secondaryReadCost builds the table once over a counting store, then runs
 // the probe queries from two cold opens: one routed through the secondary,
 // one forced through a primary scan. Returned reads are store Gets.
-func secondaryReadCost(sc Scale, cls ingestClass, rows int) (matched, idxReads, scanReads int, err error) {
+func secondaryReadCost(sc Scale, cls Class, rows int) (matched, idxReads, scanReads int, err error) {
 	base, err := sc.NewStore()
 	if err != nil {
 		return 0, 0, 0, err
@@ -188,8 +188,8 @@ func secondaryReadCost(sc Scale, cls ingestClass, rows int) (matched, idxReads, 
 
 	repo := version.NewRepo(cs)
 	RegisterLoaders(repo, sc)
-	def := secondary.Def{Attr: "city", Extract: secondaryCity, New: cls.newOn}
-	tbl, err := secondary.Open(repo, "main", cls.newOn, def)
+	def := secondary.Def{Attr: "city", Extract: secondaryCity, New: cls.New}
+	tbl, err := secondary.Open(repo, "main", cls.New, def)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -200,7 +200,7 @@ func secondaryReadCost(sc Scale, cls ingestClass, rows int) (matched, idxReads, 
 	coldEngine := func(scanOnly bool) (query.Engine, error) {
 		r := version.NewRepo(cs)
 		RegisterLoaders(r, sc)
-		t, err := secondary.Open(r, "main", cls.newOn, def)
+		t, err := secondary.Open(r, "main", cls.New, def)
 		if err != nil {
 			return nil, err
 		}

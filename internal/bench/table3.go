@@ -8,6 +8,7 @@ import (
 	"repro/internal/mbt"
 	"repro/internal/mpt"
 	"repro/internal/postree"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -32,7 +33,7 @@ func Table3(sc Scale) ([]*Table, error) {
 
 // table3Dedup runs the collaboration scenario for one candidate and returns
 // its deduplication ratio.
-func table3Dedup(cand Candidate, sc Scale) (float64, error) {
+func table3Dedup(cand Class, sc Scale) (float64, error) {
 	versions, err := collabRun(cand, sc, sc.CollabParties, 0.5, sc.Batch)
 	if err != nil {
 		return 0, err
@@ -53,15 +54,7 @@ func table3POS(sc Scale) (*Table, error) {
 		Columns: []string{"η(POS-Tree)"},
 	}
 	for _, size := range []int{512, 1024, 2048, 4096} {
-		size := size
-		cand := Candidate{Name: "POS-Tree", New: func() (core.Index, error) {
-			s, err := sc.NewStore()
-			if err != nil {
-				return nil, err
-			}
-			return postree.New(s, postree.ConfigForNodeSize(size)), nil
-		}}
-		eta, err := table3Dedup(cand, sc)
+		eta, err := table3Dedup(posTreeClass("POS-Tree", postree.ConfigForNodeSize(size)), sc)
 		if err != nil {
 			return nil, err
 		}
@@ -80,14 +73,8 @@ func table3MBT(sc Scale) (*Table, error) {
 	// Bucket counts scale around the configured default (paper: 4k–10k).
 	counts := []int{sc.MBTBuckets, sc.MBTBuckets * 3 / 2, sc.MBTBuckets * 2, sc.MBTBuckets * 5 / 2}
 	for _, b := range counts {
-		b := b
-		cand := Candidate{Name: "MBT", New: func() (core.Index, error) {
-			s, err := sc.NewStore()
-			if err != nil {
-				return nil, err
-			}
-			return mbt.New(s, mbt.Config{Capacity: b, Fanout: 32})
-		}}
+		cfg := mbt.Config{Capacity: b, Fanout: 32}
+		cand := Class{Name: "MBT", New: func(s store.Store) (core.Index, error) { return mbt.New(s, cfg) }}
 		eta, err := table3Dedup(cand, sc)
 		if err != nil {
 			return nil, err

@@ -14,7 +14,8 @@
 // property-based oracle check, diff/merge, proof verification, replay
 // determinism, structural invariance, golden root-hash vectors, and a
 // node-read-count assertion that bounded scans actually prune — and runs
-// all of it against every store backend (mem, sharded, disk, cached).
+// all of it against every store configuration: the default MemStore, a
+// 4-shard MemStore ("sharded"), DiskStore, and a cached MemStore.
 // Run under -race to make the backend dimension meaningful.
 package indextest
 
@@ -117,7 +118,7 @@ func backends() []struct {
 		open storeFactory
 	}{
 		{"mem", func(t *testing.T) store.Store { return store.NewMemStore() }},
-		{"sharded", func(t *testing.T) store.Store { return store.NewShardedStore(0) }},
+		{"sharded", func(t *testing.T) store.Store { return store.NewShardedStore(4) }},
 		{"disk", func(t *testing.T) store.Store {
 			s, err := store.Open(store.Config{Backend: store.BackendDisk, Dir: t.TempDir()})
 			if err != nil {

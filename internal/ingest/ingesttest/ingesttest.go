@@ -13,8 +13,8 @@
 // honouring core.Ranger bounds and ordering across overlay and base, a
 // randomized CRUD oracle with merges at arbitrary points, WAL replay across
 // close/reopen with no lost or ghost writes, and the auto-merge thresholds
-// — and runs all of it against every store backend (mem, sharded, disk,
-// cached). Run under -race to make the backend dimension meaningful.
+// — and runs all of it against every store configuration (the default and
+// a 4-shard MemStore, DiskStore, a cached MemStore). Run under -race to make the backend dimension meaningful.
 package ingesttest
 
 import (
@@ -84,7 +84,7 @@ func backends() []struct {
 		open storeFactory
 	}{
 		{"mem", func(t *testing.T) store.Store { return store.NewMemStore() }},
-		{"sharded", func(t *testing.T) store.Store { return store.NewShardedStore(0) }},
+		{"sharded", func(t *testing.T) store.Store { return store.NewShardedStore(4) }},
 		{"disk", func(t *testing.T) store.Store {
 			s, err := store.Open(store.Config{Backend: store.BackendDisk, Dir: t.TempDir()})
 			if err != nil {

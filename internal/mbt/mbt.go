@@ -195,10 +195,14 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 // Breakdown reports the two phases of an MBT lookup separately for the
 // Figure 13 experiment: Load covers tree traversal and node fetching
 // (including the raw bucket bytes); Scan covers bucket decoding and the
-// binary search.
+// binary search. Nodes and Entries count the same two phases
+// deterministically: nodes loaded root to bucket, and bucket entries
+// decoded.
 type Breakdown struct {
-	Load time.Duration
-	Scan time.Duration
+	Load    time.Duration
+	Scan    time.Duration
+	Nodes   int
+	Entries int
 }
 
 // GetBreakdown is Get with per-phase timing.
@@ -217,6 +221,7 @@ func (t *Tree) GetBreakdown(key []byte) ([]byte, bool, Breakdown, error) {
 		return nil, false, bd, err
 	}
 	bd.Load = time.Since(start)
+	bd.Nodes = len(path)
 
 	start = time.Now()
 	bucket, err := decodeBucket(raw)
@@ -225,6 +230,7 @@ func (t *Tree) GetBreakdown(key []byte) ([]byte, bool, Breakdown, error) {
 	}
 	i, found := searchBucket(bucket.entries, key)
 	bd.Scan = time.Since(start)
+	bd.Entries = len(bucket.entries)
 	if !found {
 		return nil, false, bd, nil
 	}

@@ -402,6 +402,13 @@ func TestGetBreakdown(t *testing.T) {
 	if bd.Load <= 0 || bd.Scan <= 0 {
 		t.Fatalf("breakdown not measured: %+v", bd)
 	}
+	pl, err := idx.(*Tree).PathLength([]byte("key-100"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bd.Nodes != pl || bd.Entries < 1 {
+		t.Fatalf("breakdown counts = %d nodes, %d entries; want %d nodes, >= 1 entry", bd.Nodes, bd.Entries, pl)
+	}
 }
 
 // --- diff & merge ---

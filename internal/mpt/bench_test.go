@@ -28,7 +28,6 @@ func BenchmarkBatchCommit(b *testing.B) {
 		new  func() store.Store
 	}{
 		{"mem", func() store.Store { return store.NewMemStore() }},
-		{"sharded", func() store.Store { return store.NewShardedStore(0) }},
 	}
 	for _, backend := range backends {
 		b.Run("staged/"+backend.name, func(b *testing.B) {

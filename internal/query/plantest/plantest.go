@@ -93,7 +93,7 @@ func RunPlannerTests(t *testing.T, name string, opts Options) {
 // with t.
 type storeFactory func(t *testing.T) store.Store
 
-// backends enumerates the same four store backends indextest and
+// backends enumerates the same four store configurations indextest and
 // storetest certify.
 func backends() []struct {
 	name string
@@ -104,7 +104,7 @@ func backends() []struct {
 		open storeFactory
 	}{
 		{"mem", func(t *testing.T) store.Store { return store.NewMemStore() }},
-		{"sharded", func(t *testing.T) store.Store { return store.NewShardedStore(0) }},
+		{"sharded", func(t *testing.T) store.Store { return store.NewShardedStore(4) }},
 		{"disk", func(t *testing.T) store.Store {
 			s, err := store.Open(store.Config{Backend: store.BackendDisk, Dir: t.TempDir()})
 			if err != nil {

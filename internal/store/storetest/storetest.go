@@ -355,7 +355,8 @@ func testConcurrentPutBatch(t *testing.T, newStore Factory) {
 }
 
 // sweepable returns s if it supports delete/sweep, skipping the subtest for
-// foreign stores without the capability (all four built-in backends have it).
+// foreign stores without the capability (MemStore, DiskStore and the
+// wrappers over them all have it).
 func sweepable(t *testing.T, s store.Store) store.Store {
 	t.Helper()
 	if _, ok := s.(store.Sweeper); !ok {

@@ -162,7 +162,7 @@ func matrixBackends() []matrixBackend {
 			return s, nil, func(*testing.T) store.Store { return s }
 		}},
 		{"sharded", func(t *testing.T, _ func(string)) (store.Store, *store.DiskStore, func(t *testing.T) store.Store) {
-			s := store.NewShardedStore(0)
+			s := store.NewShardedStore(4)
 			return s, nil, func(*testing.T) store.Store { return s }
 		}},
 		{"disk", func(t *testing.T, hook func(string)) (store.Store, *store.DiskStore, func(t *testing.T) store.Store) {
@@ -329,7 +329,7 @@ func TestFaultSoakHeadConvergence(t *testing.T) {
 	epoch := time.Unix(1700000000, 0)
 
 	run := func(t *testing.T, cfg *faultstore.Config) map[string]hash.Hash {
-		base := store.NewShardedStore(0)
+		base := store.NewMemStore()
 		var s store.Store = base
 		var fs *faultstore.FaultStore
 		if cfg != nil {

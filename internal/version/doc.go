@@ -80,8 +80,8 @@
 //
 // # Safety contract
 //
-// On a store with the BarrierStore capability (all four built-in backends)
-// GC runs concurrently with everything: Commit, Put/PutBatch on checked-out
+// On a store with the BarrierStore capability (MemStore, DiskStore and the
+// wrappers over them) GC runs concurrently with everything: Commit, Put/PutBatch on checked-out
 // indexes, Checkout, and reads. Callers need only honor two rules:
 //
 //   - Retry ErrCommitRaced: a commit whose version was flushed before the

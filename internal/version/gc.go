@@ -91,8 +91,8 @@ func (p *gcPass) rootsCovered(c Commit) bool {
 // its history should go, or use GCRetainRecent to choose the set
 // atomically under concurrent writers).
 //
-// On stores with the write-barrier capability (all four built-in
-// backends) the pass runs concurrently with commits, checkouts and reads:
+// On stores with the write-barrier capability (MemStore, DiskStore, and
+// the wrappers over them) the pass runs concurrently with commits, checkouts and reads:
 // the repo lock is held only to snapshot the retained set, to prune the
 // log, and to fire the OnGC hooks. Stores without the capability get the
 // old stop-the-world pass under the lock. See the package documentation

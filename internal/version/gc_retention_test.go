@@ -12,7 +12,7 @@ import (
 	"repro/internal/version"
 )
 
-// retentionBackends enumerates the four store backends the retention
+// retentionBackends enumerates the four store configurations the retention
 // acceptance test crosses every index class with — the same set storetest
 // and indextest certify.
 func retentionBackends() []struct {
@@ -24,7 +24,7 @@ func retentionBackends() []struct {
 		open func(t *testing.T) store.Store
 	}{
 		{"mem", func(t *testing.T) store.Store { return store.NewMemStore() }},
-		{"sharded", func(t *testing.T) store.Store { return store.NewShardedStore(0) }},
+		{"sharded", func(t *testing.T) store.Store { return store.NewShardedStore(4) }},
 		{"disk", func(t *testing.T) store.Store {
 			// Small segments so the 50-version history spans several files
 			// and compaction gets real work.

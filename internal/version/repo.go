@@ -55,10 +55,10 @@ var (
 // Repo is a commit log plus named branches over one content-addressed
 // store. All methods are safe for concurrent use with each other,
 // including GC: on stores with the write-barrier capability
-// (store.BarrierStore — all four built-in backends) a GC pass runs
-// concurrently with commits, checkouts and reads, pausing them only for
-// the pass's brief bookkeeping sections. Readers of versions the
-// retention policy might drop must hold a Pin for the duration of the
+// (store.BarrierStore — MemStore, DiskStore and the wrappers over them) a
+// GC pass runs concurrently with commits, checkouts and reads, pausing
+// them only for the pass's brief bookkeeping sections. Readers of versions
+// the retention policy might drop must hold a Pin for the duration of the
 // read (CheckoutPinned); see the package documentation's safety contract.
 //
 // The log is an in-memory view; the durable truth is the store itself,
